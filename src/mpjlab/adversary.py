@@ -6,15 +6,22 @@ half-weight layers cross, and there are too many half-weight layers for
 short messages to keep every message class crossing-free: with t at most
 n - log2(n)/2 - 2 message bits, some class must hold a crossing pair.
 
+A layer has one complement, so any three distinct half-weight layers
+sharing a message contain a crossing pair. The cell search streams
+half-weight layers in lexicographic order, files each under the message
+it draws, and stops at the first cell, in stream order, to hold a
+crossing pair: within 2^(t+1) + 1 evaluated layers when every message
+has exactly t bits, and within 2^(t+2) - 1 when messages have at most t.
+
 The construction walks a collapsing protocol front to back. At each level
-it partitions candidate suffix layers by the message the next player
-would send, picks the first crossed class, and rewrites the pair one
-layer deeper: the new middle layer sends each old position class to a
-fixed position of the new pair with the same joint pattern, which keeps
-the old pair equal to the new pair composed with that layer. After the
-last level the pair is literal: two instances differing only in the final
-layer, with answers 0 and 1, whose first k-1 messages are bitwise equal.
-The last player sees the same view either way and must answer one wrong.
+it runs that search on the messages the next player would send, then
+rewrites the pair one layer deeper: the new middle layer sends each old
+position class to a fixed position of the new pair with the same joint
+pattern, which keeps the old pair equal to the new pair composed with
+that layer. After the last level the pair is literal: two instances
+differing only in the final layer, with answers 0 and 1, whose first k-1
+messages are bitwise equal. The last player sees the same view either
+way and must answer one wrong.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind, run
@@ -76,16 +83,24 @@ def max_message_bits(n: int) -> float:
     return n - math.log2(n) / 2 - 2
 
 
-def half_weight_strings(n: int) -> tuple[BitVector, ...]:
-    """All weight n/2 bit layers, ascending in lexicographic bit order."""
+def _iter_half_weight(n: int) -> Iterator[BitVector]:
+    """Weight n/2 bit layers, one at a time, ascending in lexicographic bit order.
+
+    Each layer is read off its sorted zero positions; lexicographic order on
+    those tuples is lexicographic order on the bit strings.
+    """
     if n % 2:
         raise ValueError("half weight needs an even n")
-    out = [
-        BitVector(n, bits)
-        for bits in itertools.product((0, 1), repeat=n)
-        if sum(bits) == n // 2
-    ]
-    return tuple(out)  # product order is already lexicographic
+    for zeros in itertools.combinations(range(n), n // 2):
+        bits = [1] * n
+        for r in zeros:
+            bits[r] = 0
+        yield BitVector(n, tuple(bits))
+
+
+def half_weight_strings(n: int) -> tuple[BitVector, ...]:
+    """All weight n/2 bit layers, ascending in lexicographic bit order."""
+    return tuple(_iter_half_weight(n))
 
 
 def find_crossing_pair(cell: Iterable[BitVector]) -> CrossingPair | None:
@@ -112,7 +127,14 @@ def find_crossing_pair(cell: Iterable[BitVector]) -> CrossingPair | None:
 def find_crossed_cell(
     message_fn: Callable[[BitVector], Message], n: int, t_bound: float
 ) -> tuple[Message, CrossingPair]:
-    """Partition half-weight layers by message value; return the first crossed cell.
+    """The first cell, in stream order, to hold a crossing pair, with that pair.
+
+    Half-weight layers are evaluated in lexicographic order and filed by
+    message; each new layer is tested against the earlier members of its
+    cell, and the search returns (message, CrossingPair(earlier, new)) on
+    the first hit. Since a cell of three distinct half-weight layers always
+    crosses, this takes at most 2^(t+1) + 1 evaluations when every message
+    has exactly t bits, and 2^(t+2) - 1 when messages have at most t bits.
 
     t_bound gates the precondition. For protocols whose messages all share
     one length, the counting argument guarantees a crossed class whenever
@@ -127,17 +149,17 @@ def find_crossed_cell(
             f"message bound {t_bound} exceeds the counting limit {limit:.3f} at n={n}"
         )
     cells: dict[tuple[int, ...], list[BitVector]] = {}
-    for y in half_weight_strings(n):
+    for y in _iter_half_weight(n):
         msg = message_fn(y)
         if len(msg) > t_bound:
             raise BoundRefusedError(
                 f"message of {len(msg)} bits exceeds the declared bound {t_bound}"
             )
-        cells.setdefault(msg.bits, []).append(y)
-    for key in sorted(cells, key=lambda bits: (len(bits), bits)):
-        pair = find_crossing_pair(cells[key])
-        if pair is not None:
-            return Message(key), pair
+        cell = cells.setdefault(msg.bits, [])
+        for earlier in cell:
+            if is_crossing(earlier, y):
+                return msg, CrossingPair(earlier, y)
+        cell.append(y)
     raise CrossingSearchError(
         f"all {len(cells)} message classes over {math.comb(n, n // 2)} half-weight "
         f"layers at n={n} are crossing-free; variable-length messages can evade "

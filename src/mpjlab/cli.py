@@ -53,6 +53,25 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return values
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -111,7 +130,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     built = _build(args)
     if args.instance is not None:
         with open(args.instance, "r", encoding="utf-8") as fh:
-            inst = instance_from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("instance JSON is nested too deeply") from None
+        inst = instance_from_dict(doc)
         if inst.n != args.n:
             raise ValueError(f"instance width {inst.n} does not match --n {args.n}")
     else:
@@ -287,7 +310,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     if args.n > ATTACK_WIDTH_CAP and not args.allow_large_n:
         raise BoundRefusedError(
-            f"attack enumerates all half-weight layers; n={args.n} is over the cap "
+            f"the attack's cell search can evaluate all C(n, n/2) half-weight layers "
+            f"per level; n={args.n} is over the cap "
             f"{ATTACK_WIDTH_CAP} (pass --allow-large-n to override)"
         )
     built = _build(args)
@@ -333,7 +357,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one protocol on one instance")
     _add_protocol_args(p, seed=seed)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--instance", default=None, help="instance JSON file (sampled if omitted)")
     p.add_argument("--emit-buckets", action="store_true",
                    help="include bucket announcements (bucketing protocols only)")
@@ -341,19 +365,19 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a protocol against brute force")
     _add_protocol_args(p, seed=seed)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exhaustive", action="store_true")
-    group.add_argument("--samples", type=int, default=None)
-    p.add_argument("--budget", type=int, default=2_000_000,
+    group.add_argument("--samples", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=2_000_000,
                    help="refuse exhaustive sweeps larger than this")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="measure worst-case costs across widths")
     _add_protocol_args(p, seed=seed)
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated widths")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--n", type=_positive_int_list, required=True, help="comma-separated widths")
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=cmd_bench)
 
@@ -366,15 +390,15 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="build a fooling pair against a collapsing protocol")
     _add_protocol_args(p, seed=seed)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--allow-large-n", action="store_true",
-                   help="lift the n cap (half-weight enumeration grows fast)")
+                   help="lift the n cap (the worst-case half-weight search grows fast)")
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("emit-plot-data", help="fixed-schema cost CSV across widths")
     _add_protocol_args(p, seed=seed)
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated widths")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--n", type=_positive_int_list, required=True, help="comma-separated widths")
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_emit_plot_data)
 
     return parser
@@ -387,7 +411,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = build_parser(seed)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

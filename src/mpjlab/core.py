@@ -474,23 +474,38 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
+def _json_int(d: dict, key: str) -> int:
+    value = d[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"instance field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_dict(d: dict) -> Instance:
-    """Parse the shared JSON form; width/shape errors raise ValueError."""
+    """Parse the shared JSON form; any malformed field raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(d).__name__}")
     try:
-        n = d["n"]
-        k = d["k"]
+        n = _json_int(d, "n")
+        k = _json_int(d, "k")
         variant = Variant.parse(d["variant"])
-        i = d["i"]
+        i = _json_int(d, "i")
         raw_layers = d["layers"]
     except KeyError as exc:
         raise ValueError(f"instance dict is missing key {exc.args[0]!r}") from None
+    if not isinstance(raw_layers, list) or not all(isinstance(v, list) for v in raw_layers):
+        raise ValueError("instance field 'layers' must be a list of integer lists")
     layers = tuple(LayerFunction(n, tuple(vals)) for vals in raw_layers)
     if variant is Variant.MPJ:
         if "x" not in d:
             raise ValueError("Boolean instance dict needs an 'x' bit string")
+        if not isinstance(d["x"], str):
+            raise ValueError(f"instance field 'x' must be a 0/1 string, got {d['x']!r}")
         x = BitVector.from01(d["x"])
         if x.n != n:
             raise ValueError("bit layer width differs from n")
         return MpjInstance(n, k, i, layers, x)
-    mask = tuple(bool(b) for b in d.get("perm_mask", [False] * (k - 1)))
-    return MpjHatInstance(n, k, i, layers, mask)
+    mask = d.get("perm_mask", [])
+    if not isinstance(mask, list) or not all(isinstance(b, bool) for b in mask):
+        raise ValueError(f"instance field 'perm_mask' must be a list of booleans, got {mask!r}")
+    return MpjHatInstance(n, k, i, layers, tuple(mask))

@@ -5,6 +5,7 @@ x' = 0101 realizes each of the four patterns exactly once, at positions
 1, 2, 3, 4 respectively.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -79,6 +80,15 @@ class TestHalfWeightStrings:
         with pytest.raises(ValueError):
             half_weight_strings(5)
 
+    def test_matches_product_and_filter_reference(self):
+        for n in range(2, 13, 2):
+            reference = tuple(
+                BitVector(n, b)
+                for b in itertools.product((0, 1), repeat=n)
+                if sum(b) == n // 2
+            )
+            assert half_weight_strings(n) == reference
+
     def test_distinct_non_complementary_pairs_always_cross(self):
         for n in (4, 6):
             for va, vb in itertools.combinations(half_weight_strings(n), 2):
@@ -132,8 +142,13 @@ class TestFindCrossedCell:
         assert msg == Message()
         assert (pair.x.to01(), pair.xp.to01()) == ("000111", "001011")
 
-    def test_cells_scanned_shortest_message_first(self):
-        msg, pair = find_crossed_cell(lambda y: Message((y(1),)), 6, 2.0)
+    def test_first_crossed_cell_in_stream_order(self):
+        # layers opening with 1 all share the empty message, but the stream
+        # reaches the crossing pair 000111, 001011 in cell '0' first
+        def message_fn(y):
+            return Message() if y(1) else Message((y(2),))
+
+        msg, pair = find_crossed_cell(message_fn, 6, 2.0)
         assert msg == Message((0,))
         assert (pair.x.to01(), pair.xp.to01()) == ("000111", "001011")
 
@@ -166,6 +181,48 @@ class TestFindCrossedCell:
         }
         with pytest.raises(CrossingSearchError, match="crossing-free"):
             find_crossed_cell(lambda y: Message.from01(keys[y.to01()]), 4, 1.0)
+
+
+def hashed_message_fn(n, seed, t, variable):
+    """A seeded message function of t bits (0..t bits when variable)."""
+
+    def message_fn(y):
+        digest = hashlib.sha256(f"{n}|{seed}|{y.to01()}".encode()).digest()
+        width = digest[-1] % (t + 1) if variable else t
+        return Message(tuple((digest[b // 8] >> (b % 8)) & 1 for b in range(width)))
+
+    return message_fn
+
+
+class TestStreamingSearch:
+    """The search stops within the pigeonhole bound on distinct cells."""
+
+    def search(self, n, seed, t, variable):
+        message_fn = hashed_message_fn(n, seed, t, variable)
+        calls = 0
+
+        def counted(y):
+            nonlocal calls
+            calls += 1
+            return message_fn(y)
+
+        msg, pair = find_crossed_cell(counted, n, t)
+        assert pair.crossing
+        assert message_fn(pair.x) == msg == message_fn(pair.xp)
+        return calls
+
+    @pytest.mark.parametrize("variable", (False, True))
+    @pytest.mark.parametrize("n", (6, 8))
+    def test_evaluations_within_the_bound(self, n, variable):
+        for t in range(1, min(3, math.floor(max_message_bits(n))) + 1):
+            # 2^t cells when every message has t bits, 2^(t+1) - 1 with up
+            # to t bits; a cell crosses before it takes a third layer
+            cells = 2 ** (t + 1) - 1 if variable else 2**t
+            for seed in range(25):
+                assert self.search(n, seed, t, variable) <= 2 * cells + 1
+
+    def test_silent_player_stops_at_the_second_layer(self):
+        assert self.search(16, 0, 0, variable=False) == 2
 
 
 class TestBuildFoolingInputs:

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mpjlab.cli import SEED_ENV_VAR, main
+from mpjlab.core import Instance, instance_from_dict
 from mpjlab.registry import UnknownProtocolError, build_protocol, cost_bound
 
 
@@ -80,6 +83,139 @@ class TestRun:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["protocol"] == "index"
+
+
+class TestMalformedInstanceFiles:
+    GOOD = {"n": 3, "k": 2, "variant": "mpj", "i": 1, "layers": [], "x": "010"}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [GOOD],
+            dict(GOOD, n="3", k=3, layers=[[1, 2, 3]]),
+            dict(GOOD, layers=5),
+            dict(GOOD, x=11),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["top-level-list", "string-width", "scalar-layers", "integer-bits", "deep-nesting"],
+    )
+    def test_exits_two_with_one_line_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "inst.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "index", "--n", "3", "--instance", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_well_formed_control(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(self.GOOD))
+        code, _, _ = run_cli(
+            capsys, "run", "--protocol", "index", "--n", "3", "--instance", str(path)
+        )
+        assert code == 0
+
+
+class TestPositiveSizes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--protocol", "index", "--n", "8", "--samples", "0"),
+            ("verify", "--protocol", "index", "--n", "0", "--samples", "5"),
+            ("verify", "--protocol", "index", "--n", "4", "--exhaustive", "--budget", "-1"),
+            ("run", "--protocol", "index", "--n", "-3"),
+            ("attack", "--protocol", "truncate1", "--n", "0"),
+            ("bench", "--protocol", "index", "--n", "4,0", "--samples", "5"),
+            ("bench", "--protocol", "index", "--n", ",", "--samples", "5"),
+            ("bench", "--protocol", "index", "--n", "4", "--samples", "-5"),
+            ("emit-plot-data", "--protocol", "index", "--n=-2,4", "--samples", "5"),
+        ],
+    )
+    def test_non_positive_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "positive integer" in err
+
+
+JSON_ATOMS = st.none() | st.booleans() | st.integers(-2, 5) | st.text("01mpjhat", max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_ATOMS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("nkix", max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+INSTANCE_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.integers(1, 4) | JSON_VALUES,
+        "k": st.integers(2, 4) | JSON_VALUES,
+        "variant": st.sampled_from(["mpj", "mpjhat"]) | JSON_VALUES,
+        "i": st.integers(1, 4) | JSON_VALUES,
+        "layers": st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=3) | JSON_VALUES,
+        "x": st.text("01", max_size=5) | JSON_VALUES,
+        "perm_mask": st.lists(st.booleans(), max_size=3) | JSON_VALUES,
+    },
+)
+# valid values come first and most often, so fuzzed runs also reach the commands
+SIZES = st.sampled_from(["4", "2", "3", "8", "4", "-1", "0", "x", "", "2.5"])
+SMALL = st.sampled_from(["2", "3", "4", "1", "-1", "0", "x"])
+WIDTH_LISTS = st.sampled_from(["2,4", "4", "3", "0,2", "4,,8", ",", "x", "-2"])
+PROTOCOLS = st.sampled_from([
+    "index", "mpj3-sublinear", "mpjk-sublinear", "bucketing", "bucketing-doubling",
+    "broken-const", "constant", "truncate2", "hash1", "parity9", "mystery",
+])
+
+
+@st.composite
+def malformed_argv(draw, instance_path):
+    """Small argv lists, each an in-range or malformed use of one subcommand."""
+    command = draw(st.sampled_from(["run", "verify", "bench", "emit-plot-data", "attack", "cover"]))
+    argv = [command]
+    if command == "cover":
+        argv += ["--f", draw(st.sampled_from(["2,2,4,4", "1,2", "1,5", "0", "x", ""]))]
+        argv += ["--d", draw(SMALL)]
+        argv += draw(st.sampled_from([[], ["--s", "1,2"], ["--s", "9"], ["--s", "x"]]))
+    else:
+        argv += ["--protocol", draw(PROTOCOLS)]
+        argv += draw(st.sampled_from([[], ["--k", "3"], ["--k", "4"], ["--k", "2"],
+                                      ["--k", "1"], ["--k", "0"], ["--k", "x"]]))
+        argv += draw(st.sampled_from([[], ["--d", "2"], ["--d", "1"], ["--d", "0"],
+                                      ["--d", "-1"], ["--d", "x"]]))
+        argv += draw(st.sampled_from([[], ["--seed", "3"], ["--seed", "-7"], ["--seed", "x"]]))
+        sizes = WIDTH_LISTS if command in ("bench", "emit-plot-data") else SIZES
+        argv += ["--n=" + draw(sizes)]
+        if command in ("bench", "emit-plot-data"):
+            argv += ["--samples=" + draw(SMALL)]
+        if command == "verify":
+            # exhaustive sweeps always carry a small budget so none runs long
+            argv += draw(st.sampled_from([
+                ["--samples", "3"], ["--exhaustive", "--budget", "1000"],
+                ["--exhaustive", "--budget", "0"], ["--samples", "0"], ["--samples", "x"], [],
+            ]))
+            argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "yaml"]]))
+        if command == "run":
+            argv += draw(st.sampled_from([["--instance", instance_path], [], ["--emit-buckets"]]))
+    return argv + draw(st.sampled_from([[], [], [], ["--bogus"], ["extra"]]))
+
+
+class TestFuzzedInput:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cli_exit_codes(self, tmp_path, data):
+        path = tmp_path / "inst.json"
+        doc = data.draw(INSTANCE_DOCS.map(json.dumps) | st.text(max_size=12))
+        path.write_text(doc)
+        argv = data.draw(malformed_argv(str(path)))
+        assert main(argv) in (0, 1, 2)
+
+    @given(INSTANCE_DOCS)
+    def test_instance_from_dict_raises_only_value_error(self, doc):
+        try:
+            inst = instance_from_dict(doc)
+        except ValueError:
+            return
+        assert isinstance(inst, Instance)
 
 
 class TestVerify:
