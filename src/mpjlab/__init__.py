@@ -31,7 +31,6 @@ from .covers import (
     verify_sd_cover,
 )
 from .sim import (
-    CostRow,
     Message,
     PlayerView,
     ProtocolContractError,
@@ -40,8 +39,6 @@ from .sim import (
     Transcript,
     VerifyReport,
     ViewKind,
-    cost_profile,
-    cost_rows_to_csv,
     make_view,
     run,
     verify,
@@ -59,7 +56,6 @@ from .jump import (
 )
 from .bucketing import (
     BucketPlan,
-    BucketingScheme,
     bucket_index,
     bucket_members,
     bucketing_protocol,
@@ -76,7 +72,6 @@ from .adversary import (
     FoolingReport,
     build_fooling_inputs,
     find_crossed_cell,
-    find_crossing_pair,
     iab_sets,
     is_crossing,
     max_message_bits,

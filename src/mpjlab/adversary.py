@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind, run
@@ -101,27 +101,6 @@ def _iter_half_weight(n: int) -> Iterator[BitVector]:
 def half_weight_strings(n: int) -> tuple[BitVector, ...]:
     """All weight n/2 bit layers, ascending in lexicographic bit order."""
     return tuple(_iter_half_weight(n))
-
-
-def find_crossing_pair(cell: Iterable[BitVector]) -> CrossingPair | None:
-    """First crossing pair of a cell, or None.
-
-    Fast path: any two distinct non-complementary half-weight members cross,
-    so scan those first in lexicographic order. Fall back to the full
-    pairwise scan; a cell is uncrossed exactly when this returns None.
-    """
-    members = sorted(set(cell), key=lambda v: v.bits)
-    halves = [v for v in members if 2 * v.weight == v.n]
-    for va, vb in itertools.combinations(halves, 2):
-        if vb != va.complement():
-            pair = CrossingPair(va, vb)
-            if not pair.crossing:  # unreachable for half-weight; keep the guarantee honest
-                continue
-            return pair
-    for va, vb in itertools.combinations(members, 2):
-        if is_crossing(va, vb):
-            return CrossingPair(va, vb)
-    return None
 
 
 def find_crossed_cell(

@@ -81,24 +81,6 @@ def bucket_members(t: int, n: int, j: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class BucketingScheme:
-    """The 2^t interval buckets over [n]."""
-
-    t: int
-    n: int
-
-    def index_of(self, r: int) -> int:
-        return bucket_index(self.t, self.n, r)
-
-    def members(self, j: int) -> tuple[int, ...]:
-        return bucket_members(self.t, self.n, j)
-
-    @property
-    def max_size(self) -> int:
-        return -(-self.n // (2**self.t))
-
-
-@dataclass(frozen=True)
 class BucketPlan:
     """Per-player bucket widths. widths[j-1] is player j's width b_j; the
     final entry is the raw candidate count n (never used as a message

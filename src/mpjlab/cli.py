@@ -1,9 +1,10 @@
 """Command-line front end: run, verify, bench, cover, attack, emit-plot-data.
 
 Exit codes: 0 on success, 1 when verification found failures (or an attack
-did not fool its target), 2 on usage/configuration errors. Output is a
-pure function of the arguments plus the seed; the default seed comes from
-the MPJLAB_SEED environment variable (0 when unset).
+did not fool its target, or a player broke the protocol contract), 2 on
+usage/configuration errors. Output is a pure function of the arguments plus
+the seed; the default seed comes from the MPJLAB_SEED environment variable
+(0 when unset).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 from typing import Iterable, Sequence
 
 from .adversary import BoundRefusedError, build_fooling_inputs, verify_fooling
-from .bucketing import bucket_width_plan, doubling_plan
 from .core import (
     BudgetExceededError,
     Instance,
@@ -32,7 +32,7 @@ from .core import (
 )
 from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
 from .registry import BuiltProtocol, UnknownProtocolError, build_protocol, cost_bound
-from .sim import CostRow, cost_profile, cost_rows_to_csv, run, verify
+from .sim import ProtocolContractError, ProtocolInvariantError, run, verify
 
 SEED_ENV_VAR = "MPJLAB_SEED"
 ATTACK_WIDTH_CAP = 16
@@ -109,11 +109,7 @@ def _instances(built: BuiltProtocol, args: argparse.Namespace) -> Iterable[Insta
 
 
 def _bucket_debug(built: BuiltProtocol, transcript) -> dict:
-    plan = (
-        doubling_plan(built.handle.n, built.handle.k)
-        if built.handle.name == "bucketing-doubling"
-        else bucket_width_plan(built.handle.n, built.handle.k)
-    )
+    plan = built.bucket_plan
     n = built.handle.n
     survivors = {}
     for j in range(2, plan.terminal + 1):
@@ -155,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "correct": transcript.output == expected,
     }
     if args.emit_buckets:
-        if not built.handle.name.startswith("bucketing"):
+        if built.bucket_plan is None:
             raise ValueError("--emit-buckets only applies to the bucketing protocols")
         payload["buckets"] = _bucket_debug(built, transcript)
     _emit(_json_dump(payload), args.output)
@@ -184,6 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "instance": instance_to_dict(first.inst),
             "expected": first.expected,
             "got": first.got,
+            "error": first.error,
         }
     if args.format == "json":
         _emit(_json_dump(payload), args.output)
@@ -241,47 +238,41 @@ def _result_rows(args: argparse.Namespace) -> tuple[list[dict], int]:
     return rows, k_seen or 0
 
 
+def _csv_lines(rows: list[dict], k: int) -> list[list]:
+    """bench's CSV: header, then one line per width."""
+    lines = [
+        ["n", "k", "protocol", "view", "max_cost"]
+        + [f"p{j}_bits" for j in range(1, k + 1)]
+        + ["checked", "failures", "bound", "bound_ok"]
+    ]
+    for row in rows:
+        lines.append(
+            [row["n"], row["k"], row["protocol"], row["view"], row["max_cost"]]
+            + row["per_player"]
+            + [row["checked"], row["failures"], row["bound"], row["bound_ok"]]
+        )
+    return lines
+
+
+def _to_csv(lines: Iterable[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    return buf.getvalue()
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     rows, k = _result_rows(args)
     if args.format == "json":
         _emit(_json_dump(rows), args.output)
         return 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["n", "k", "protocol", "view", "max_cost"]
-        + [f"p{j}_bits" for j in range(1, k + 1)]
-        + ["checked", "failures", "bound", "bound_ok"]
-    )
-    for row in rows:
-        writer.writerow(
-            [row["n"], row["k"], row["protocol"], row["view"], row["max_cost"]]
-            + row["per_player"]
-            + [row["checked"], row["failures"], row["bound"], row["bound_ok"]]
-        )
-    _emit(buf.getvalue(), args.output)
+    _emit(_to_csv(_csv_lines(rows, k)), args.output)
     return 0
 
 
 def cmd_emit_plot_data(args: argparse.Namespace) -> int:
-    def factory(n: int):
-        return build_protocol(
-            args.protocol, n=n, k=args.k, d=args.d,
-            perm_protocol=args.perm_protocol, seed=args.seed,
-        ).handle
-
-    def sampler(handle, n):
-        built = build_protocol(
-            args.protocol, n=n, k=args.k, d=args.d,
-            perm_protocol=args.perm_protocol, seed=args.seed,
-        )
-        return sample_instances(
-            n, handle.k, built.variant, built.perm_mask,
-            count=args.samples, seed=args.seed,
-        )
-
-    rows = cost_profile(factory, args.n, sampler)
-    _emit(cost_rows_to_csv(rows), args.output)
+    """The fixed plot schema: bench's CSV up to the per-player bit columns."""
+    rows, k = _result_rows(args)
+    _emit(_to_csv(line[: 5 + k] for line in _csv_lines(rows, k)), args.output)
     return 0
 
 
@@ -426,6 +417,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UnknownProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ProtocolContractError, ProtocolInvariantError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -67,8 +67,8 @@ def truncating_protocol(n: int, k: int, t: int) -> ProtocolHandle:
 
 def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
     """Every non-final player sends t seeded mask parities of her suffix."""
-    if t < 0:
-        raise ValueError("parity width must be nonnegative")
+    if not 0 <= t <= n:
+        raise ValueError(f"parity width {t} outside [0, {n}]")
     masks: dict[int, list[tuple[int, ...]]] = {}
     for j in range(1, k):
         rng = random.Random((seed << 16) + j)
@@ -90,8 +90,9 @@ def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
 
 def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
     """Every non-final player sends t hash bits of her entire visible view."""
-    if t < 0:
-        raise ValueError("hash width must be nonnegative")
+    limit = min(n, 256)  # a SHA-256 digest holds 256 bits
+    if not 0 <= t <= limit:
+        raise ValueError(f"hash width {t} outside [0, {limit}]")
 
     def speak(j: int) -> Callable[[PlayerView], Message]:
         def fn(view: PlayerView) -> Message:

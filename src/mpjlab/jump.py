@@ -18,7 +18,7 @@ every reader can already see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -183,15 +183,11 @@ def build_sj_chain(middles: Sequence[LayerFunction], d: int) -> SjChain:
 
 
 def _level_cover(f: LayerFunction, scope: frozenset[int], d: int, n: int) -> CoverSet:
-    # level 1 covers everything; the plain construction keeps k=3 transcripts
-    # identical to the dedicated three-player protocol
+    # level 1 covers everything; the plain cover keeps the frozen k=3
+    # transcripts
     if len(scope) == n:
         return build_d_cover(f, d)
     return build_sd_cover(f, scope, d)
-
-
-def _heavy_points(f: LayerFunction, d: int) -> tuple[int, ...]:
-    return tuple(s for s in f.range_values() if len(f.fiber(s)) > d)
 
 
 def _alpha_block(P: PermProtocol3, cover: CoverSet, x: BitVector) -> Message:
@@ -212,53 +208,6 @@ def _beta_block(P: PermProtocol3, pointer: int, x: BitVector, alphas: Message, d
             raise ProtocolContractError(f"beta produced {len(b)} bits, expected {P.m}")
         outs.append(b)
     return Message.concat(outs)
-
-
-def mpj3_sublinear(P: PermProtocol3, d: int) -> ProtocolHandle:
-    """Three players, one arbitrary middle layer, cover parameter d.
-
-    First message: d openings (m bits each) plus the raw answer bits of the
-    heavy points, ascending. Second: d blind replies. Third: one bit, from
-    the matching opening or the shipped raw bit.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    m = P.m
-
-    def speak_openings(view: PlayerView) -> Message:
-        f = view.later_layers[0]
-        x = view.final_bits
-        block = _alpha_block(P, build_d_cover(f, d), x)
-        raw = Message.from_bits(x(s) for s in _heavy_points(f, d))
-        return block + raw
-
-    def speak_replies(view: PlayerView) -> Message:
-        alphas = view.messages[0].slice(0, d * m)
-        return _beta_block(P, view.start, view.suffix, alphas, d)
-
-    def speak_answer(view: PlayerView) -> Message:
-        i = view.start
-        f = view.prefix_layers[0]
-        target = f(i)
-        heavy = _heavy_points(f, d)
-        if len(f.fiber(target)) > d:
-            bit = view.messages[0].bits[d * m + heavy.index(target)]
-            return Message((bit,))
-        cover = build_d_cover(f, d)
-        for ell, pi in enumerate(cover.perms):
-            if pi(i) == target:
-                a0 = view.messages[0].slice(ell * m, (ell + 1) * m)
-                b0 = view.messages[1].slice(ell * m, (ell + 1) * m)
-                return Message((P.gamma(i, pi, a0, b0),))
-        raise ProtocolInvariantError("cover misses a light point")
-
-    return ProtocolHandle(
-        name="mpj3-sublinear",
-        k=3,
-        variant=Variant.MPJ,
-        view_kind=ViewKind.FULL_ONE_WAY,
-        players=(speak_openings, speak_replies, speak_answer),
-    )
 
 
 def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
@@ -340,3 +289,13 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
         view_kind=ViewKind.FULL_ONE_WAY,
         players=players,
     )
+
+
+def mpj3_sublinear(P: PermProtocol3, d: int) -> ProtocolHandle:
+    """The three-player case of `mpjk_sublinear`, under its own name.
+
+    First message: d openings (m bits each) plus the raw answer bits of the
+    heavy points, ascending. Second: d blind replies. Third: one bit, from
+    the matching opening or the shipped raw bit.
+    """
+    return replace(mpjk_sublinear(P, d, 3), name="mpj3-sublinear")

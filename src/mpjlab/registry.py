@@ -1,17 +1,25 @@
 """Name-based construction of every shipped protocol.
 
-The registry maps CLI protocol names to builders plus the instance space
-each protocol is verified against (variant and permutation-layer mask).
-Parametrized attack targets are spelled with their width in the name:
-truncate4, parity3, hash2.
+The registry maps CLI protocol names to one table entry each: the builder,
+the player count, the instance space each protocol is verified against
+(permutation-layer mask), the matching cost bound and, for the bucketing
+protocols, the bucket plan. Parametrized attack targets are spelled with
+their width in the name: truncate4, parity3, hash2.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .bucketing import bucketing_protocol, bucketing_protocol_doubling
+from .bucketing import (
+    BucketPlan,
+    bucket_width_plan,
+    bucketing_protocol,
+    bucketing_protocol_doubling,
+    doubling_plan,
+)
 from .core import Variant
 from .families import (
     constant_protocol,
@@ -29,18 +37,27 @@ class UnknownProtocolError(ValueError):
 
 PERM_PROTOCOLS = ("naive",)
 
-BASE_NAMES = (
-    "index",
-    "mpj3-sublinear",
-    "mpjk-sublinear",
-    "bucketing",
-    "bucketing-doubling",
-    "broken-const",
-    "constant",
-    "truncate<t>",
-    "parity<t>",
-    "hash<t>",
-)
+
+class Params(NamedTuple):
+    """Construction parameters; t is the width of a `<t>` family, else None."""
+
+    n: int
+    k: int
+    d: int
+    t: int | None
+    seed: int
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything the registry knows about one protocol name."""
+
+    build: Callable[[Params], ProtocolHandle]
+    default_k: int
+    fixed_k: bool = False
+    permutation_layers: bool = False  # every layer but the last is a permutation
+    bound: Callable[[Params], float] | None = None  # cost before the output message
+    bucket_plan: Callable[[int, int], BucketPlan] | None = None
 
 
 @dataclass(frozen=True)
@@ -50,6 +67,7 @@ class BuiltProtocol:
     handle: ProtocolHandle
     variant: Variant
     perm_mask: tuple[bool, ...] | None  # None: unrestricted layer space
+    bucket_plan: BucketPlan | None = None
 
 
 def _broken_const(n: int, k: int) -> ProtocolHandle:
@@ -72,6 +90,79 @@ def _broken_const(n: int, k: int) -> ProtocolHandle:
     )
 
 
+def _cover_bound(p: Params) -> float:
+    return 2 * (p.k - 2) * p.d * p.n + p.n / p.d ** (p.k - 2)
+
+
+def _bucket_bound(plan: BucketPlan) -> float:
+    total = float(plan.n * plan.width(1))
+    for j in range(2, plan.terminal + 1):
+        cap = -(-plan.n // (2 ** plan.width(j - 1)))
+        total += plan.n + cap * plan.width(j)
+    return total
+
+
+def _bucketing(
+    build: Callable[[int, int], ProtocolHandle], plan: Callable[[int, int], BucketPlan]
+) -> ProtocolSpec:
+    return ProtocolSpec(
+        lambda p: build(p.n, p.k),
+        default_k=3,
+        permutation_layers=True,
+        bound=lambda p: _bucket_bound(plan(p.n, p.k)),
+        bucket_plan=plan,
+    )
+
+
+PROTOCOLS: dict[str, ProtocolSpec] = {
+    "index": ProtocolSpec(
+        lambda p: index_protocol(p.n), default_k=2, fixed_k=True, bound=lambda p: float(p.n)
+    ),
+    "mpj3-sublinear": ProtocolSpec(
+        lambda p: mpj3_sublinear(naive_perm_protocol(p.n), p.d),
+        default_k=3,
+        fixed_k=True,
+        bound=_cover_bound,
+    ),
+    "mpjk-sublinear": ProtocolSpec(
+        lambda p: mpjk_sublinear(naive_perm_protocol(p.n), p.d, p.k),
+        default_k=4,
+        bound=_cover_bound,
+    ),
+    "bucketing": _bucketing(bucketing_protocol, bucket_width_plan),
+    "bucketing-doubling": _bucketing(bucketing_protocol_doubling, doubling_plan),
+    "broken-const": ProtocolSpec(lambda p: _broken_const(p.n, p.k), default_k=3),
+    "constant": ProtocolSpec(lambda p: constant_protocol(p.n, p.k), default_k=3),
+    "truncate<t>": ProtocolSpec(lambda p: truncating_protocol(p.n, p.k, p.t), default_k=3),
+    "parity<t>": ProtocolSpec(
+        lambda p: parity_protocol(p.n, p.k, p.t, seed=p.seed), default_k=3
+    ),
+    "hash<t>": ProtocolSpec(
+        lambda p: hashing_protocol(p.n, p.k, p.t, seed=p.seed), default_k=3
+    ),
+}
+
+BASE_NAMES = tuple(PROTOCOLS)
+
+
+def _lookup(
+    name: str, *, n: int, k: int | None, d: int | None, seed: int
+) -> tuple[ProtocolSpec, Params]:
+    """The table entry for a name plus its parameters, defaults filled in."""
+    m = re.fullmatch(r"([a-z]+)(0|[1-9][0-9]*)", name)  # canonical widths only
+    key = f"{m[1]}<t>" if m else name
+    if key not in PROTOCOLS or "<t>" in name:
+        raise UnknownProtocolError(
+            f"unknown protocol {name!r}; known: {', '.join(BASE_NAMES)}"
+        )
+    spec = PROTOCOLS[key]
+    if spec.fixed_k and k not in (None, spec.default_k):
+        raise ValueError(f"{name} is a {spec.default_k}-player protocol")
+    kk = spec.default_k if k is None or spec.fixed_k else k
+    params = Params(n, kk, 1 if d is None else d, int(m[2]) if m else None, seed)
+    return spec, params
+
+
 def build_protocol(
     name: str,
     *,
@@ -84,85 +175,17 @@ def build_protocol(
     """Construct a protocol by registry name; raises UnknownProtocolError/ValueError."""
     if perm_protocol not in PERM_PROTOCOLS:
         raise ValueError(f"unknown permutation subprotocol {perm_protocol!r}")
-
-    if name == "index":
-        if k not in (None, 2):
-            raise ValueError("index is a 2-player protocol")
-        return BuiltProtocol(index_protocol(n), Variant.MPJ, None)
-
-    if name == "mpj3-sublinear":
-        if k not in (None, 3):
-            raise ValueError("mpj3-sublinear is a 3-player protocol")
-        return BuiltProtocol(
-            mpj3_sublinear(naive_perm_protocol(n), d if d is not None else 1),
-            Variant.MPJ,
-            None,
-        )
-
-    if name == "mpjk-sublinear":
-        kk = k if k is not None else 4
-        return BuiltProtocol(
-            mpjk_sublinear(naive_perm_protocol(n), d if d is not None else 1, kk),
-            Variant.MPJ,
-            None,
-        )
-
-    if name == "bucketing":
-        kk = k if k is not None else 3
-        return BuiltProtocol(
-            bucketing_protocol(n, kk), Variant.MPJ_HAT, (True,) * (kk - 1)
-        )
-
-    if name == "bucketing-doubling":
-        kk = k if k is not None else 3
-        return BuiltProtocol(
-            bucketing_protocol_doubling(n, kk), Variant.MPJ_HAT, (True,) * (kk - 1)
-        )
-
-    if name == "broken-const":
-        kk = k if k is not None else 3
-        return BuiltProtocol(_broken_const(n, kk), Variant.MPJ, None)
-
-    if name == "constant":
-        kk = k if k is not None else 3
-        return BuiltProtocol(constant_protocol(n, kk), Variant.MPJ, None)
-
-    m = re.fullmatch(r"(truncate|parity|hash)(\d+)", name)
-    if m:
-        kind, t = m.group(1), int(m.group(2))
-        kk = k if k is not None else 3
-        if kind == "truncate":
-            handle = truncating_protocol(n, kk, t)
-        elif kind == "parity":
-            handle = parity_protocol(n, kk, t, seed=seed)
-        else:
-            handle = hashing_protocol(n, kk, t, seed=seed)
-        return BuiltProtocol(handle, Variant.MPJ, None)
-
-    raise UnknownProtocolError(
-        f"unknown protocol {name!r}; known: {', '.join(BASE_NAMES)}"
+    spec, params = _lookup(name, n=n, k=k, d=d, seed=seed)
+    handle = spec.build(params)
+    return BuiltProtocol(
+        handle,
+        handle.variant,
+        (True,) * (handle.k - 1) if spec.permutation_layers else None,
+        spec.bucket_plan(n, handle.k) if spec.bucket_plan else None,
     )
 
 
 def cost_bound(name: str, *, n: int, k: int, d: int | None) -> float | None:
     """The matching cost formula for a protocol's non-output communication."""
-    if name == "index":
-        return float(n)
-    if name == "mpj3-sublinear":
-        dd = d if d is not None else 1
-        return 2 * dd * n + n / dd
-    if name == "mpjk-sublinear":
-        dd = d if d is not None else 1
-        return 2 * (k - 2) * dd * n + n / dd ** (k - 2)
-    if name in ("bucketing", "bucketing-doubling"):
-        from .bucketing import bucket_width_plan, doubling_plan
-
-        plan = bucket_width_plan(n, k) if name == "bucketing" else doubling_plan(n, k)
-        total = float(n * plan.width(1))
-        for j in range(2, k):
-            if j > plan.terminal:
-                break
-            cap = -(-n // (2 ** plan.width(j - 1)))
-            total += n + cap * plan.width(j)
-        return total
-    return None
+    spec, params = _lookup(name, n=n, k=k, d=d, seed=0)
+    return spec.bound(params) if spec.bound else None

@@ -21,11 +21,9 @@ without the final output message (upper-bound formulas exclude the output).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     BitVector,
@@ -303,11 +301,15 @@ def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
 
 @dataclass(frozen=True)
 class Failure:
-    """One wrong answer caught during verification."""
+    """One wrong answer, or one run a player crashed, caught during verification.
+
+    A crashed run has no output (`got` is None) and carries the error text.
+    """
 
     inst: Instance
     expected: int
-    got: int
+    got: int | None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -325,16 +327,24 @@ class VerifyReport:
 
 
 def verify(protocol: ProtocolHandle, instances: Iterable[Instance]) -> VerifyReport:
-    """Run the protocol against the brute-force answer for every instance."""
+    """Run the protocol against the brute-force answer for every instance.
+
+    A player raising ProtocolContractError or ProtocolInvariantError fails
+    that instance only; the sweep carries on.
+    """
     checked = 0
     failures: list[Failure] = []
     worst = 0
     worst_prefix = 0
     per_player = [0] * protocol.k
     for inst in instances:
-        transcript = run(protocol, inst)
-        expected = eval_instance(inst)
         checked += 1
+        expected = eval_instance(inst)
+        try:
+            transcript = run(protocol, inst)
+        except (ProtocolContractError, ProtocolInvariantError) as exc:
+            failures.append(Failure(inst, expected, None, f"{type(exc).__name__}: {exc}"))
+            continue
         if transcript.output != expected:
             failures.append(Failure(inst, expected, transcript.output))
         worst = max(worst, transcript.total_cost)
@@ -343,59 +353,3 @@ def verify(protocol: ProtocolHandle, instances: Iterable[Instance]) -> VerifyRep
     return VerifyReport(
         protocol.name, checked, tuple(failures), worst, worst_prefix, tuple(per_player)
     )
-
-
-@dataclass(frozen=True)
-class CostRow:
-    """Worst measured costs of one protocol at one width."""
-
-    n: int
-    k: int
-    protocol: str
-    view: str
-    max_cost: int
-    max_prefix_cost: int
-    per_player_max: tuple[int, ...]
-
-
-def cost_profile(
-    protocol_for: Callable[[int], ProtocolHandle],
-    n_values: Sequence[int],
-    sampler: Callable[[ProtocolHandle, int], Iterable[Instance]],
-) -> list[CostRow]:
-    """Measure worst-case message sizes across widths; empty input, empty table."""
-    rows = []
-    for n in n_values:
-        protocol = protocol_for(n)
-        report = verify(protocol, sampler(protocol, n))
-        rows.append(
-            CostRow(
-                n=n,
-                k=protocol.k,
-                protocol=protocol.name,
-                view=protocol.view_kind.value,
-                max_cost=report.worst_cost,
-                max_prefix_cost=report.worst_prefix_cost,
-                per_player_max=report.per_player_max_bits,
-            )
-        )
-    return rows
-
-
-def cost_rows_to_csv(rows: Sequence[CostRow]) -> str:
-    """Fixed-schema CSV: n,k,protocol,view,max_cost,p1_bits,...,pk_bits."""
-    if not rows:
-        return ""
-    k = rows[0].k
-    if any(row.k != k for row in rows):
-        raise ValueError("one cost table holds rows of a single k")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["n", "k", "protocol", "view", "max_cost"] + [f"p{j}_bits" for j in range(1, k + 1)]
-    )
-    for row in rows:
-        writer.writerow(
-            [row.n, row.k, row.protocol, row.view, row.max_cost, *row.per_player_max]
-        )
-    return buf.getvalue()

@@ -17,7 +17,6 @@ from mpjlab.adversary import (
     CrossingSearchError,
     build_fooling_inputs,
     find_crossed_cell,
-    find_crossing_pair,
     half_weight_strings,
     iab_sets,
     is_crossing,
@@ -113,27 +112,6 @@ class TestCountingBound:
     def test_central_binomial_lower_bound(self):
         for n in range(2, 65, 2):
             assert math.comb(n, n // 2) > 2**n / (2 * math.sqrt(n))
-
-
-class TestFindCrossingPair:
-    def test_full_cell_takes_first_lexicographic_pair(self):
-        pair = find_crossing_pair(half_weight_strings(4))
-        assert (pair.x.to01(), pair.xp.to01()) == ("0011", "0101")
-
-    def test_complementary_cell_has_no_pair(self):
-        assert find_crossing_pair([bits("0011"), bits("1100")]) is None
-
-    def test_tiny_cells(self):
-        assert find_crossing_pair([]) is None
-        assert find_crossing_pair([bits("0101")]) is None
-
-    def test_falls_back_beyond_half_weight(self):
-        # 011011 has weight four, so only the full pairwise scan finds this
-        pair = find_crossing_pair([bits("000111"), bits("011011")])
-        assert (pair.x.to01(), pair.xp.to01()) == ("000111", "011011")
-
-    def test_duplicates_are_ignored(self):
-        assert find_crossing_pair([bits("0101"), bits("0101")]) is None
 
 
 class TestFindCrossedCell:
@@ -373,3 +351,17 @@ class TestFamilies:
             truncating_protocol(8, 3, 9)
         with pytest.raises(ValueError):
             parity_protocol(8, 3, -1)
+
+    def test_parity_width_validation(self):
+        # checked before any mask is drawn, so a huge width fails at once
+        with pytest.raises(ValueError, match=r"outside \[0, 8\]"):
+            parity_protocol(8, 3, 50_000_000)
+        assert parity_protocol(8, 3, 8).declared_max_bits == (8, 8, 1)
+
+    def test_hash_width_validation(self):
+        with pytest.raises(ValueError, match=r"outside \[0, 8\]"):
+            hashing_protocol(8, 3, 9)
+        with pytest.raises(ValueError, match=r"outside \[0, 256\]"):
+            hashing_protocol(300, 3, 257)  # a SHA-256 digest has 256 bits
+        with pytest.raises(ValueError):
+            hashing_protocol(8, 3, -1)

@@ -9,7 +9,6 @@ indices '10' and '11'.
 import pytest
 
 from mpjlab.bucketing import (
-    BucketingScheme,
     BucketPlan,
     bucket_index,
     bucket_members,
@@ -113,15 +112,12 @@ class TestBuckets:
         for n in range(1, 65):
             for t in range(0, 7):
                 cap = -(-n // (2**t))
-                scheme = BucketingScheme(t, n)
-                assert scheme.max_size == cap
-                for b in range(1, 2**t + 1):
-                    assert len(scheme.members(b)) <= cap
+                sizes = [len(bucket_members(t, n, b)) for b in range(1, 2**t + 1)]
+                assert max(sizes) == cap
 
     def test_singletons_once_buckets_outnumber_points(self):
-        scheme = BucketingScheme(3, 8)
         for r in range(1, 9):
-            assert scheme.members(scheme.index_of(r)) == (r,)
+            assert bucket_members(3, 8, bucket_index(3, 8, r)) == (r,)
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,25 @@
 """Command-line behavior: exit codes, output formats, determinism, refusals."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpjlab.cli import SEED_ENV_VAR, main
-from mpjlab.core import Instance, instance_from_dict
-from mpjlab.registry import UnknownProtocolError, build_protocol, cost_bound
+from mpjlab.core import Instance, Variant, instance_from_dict
+from mpjlab.registry import (
+    BASE_NAMES,
+    BuiltProtocol,
+    UnknownProtocolError,
+    build_protocol,
+    cost_bound,
+)
+from mpjlab.sim import Message, ProtocolHandle, ProtocolInvariantError, ViewKind
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -162,7 +173,7 @@ SMALL = st.sampled_from(["2", "3", "4", "1", "-1", "0", "x"])
 WIDTH_LISTS = st.sampled_from(["2,4", "4", "3", "0,2", "4,,8", ",", "x", "-2"])
 PROTOCOLS = st.sampled_from([
     "index", "mpj3-sublinear", "mpjk-sublinear", "bucketing", "bucketing-doubling",
-    "broken-const", "constant", "truncate2", "hash1", "parity9", "mystery",
+    "broken-const", "constant", "truncate2", "hash1", "parity9", "hash300", "mystery",
 ])
 
 
@@ -249,6 +260,7 @@ class TestVerify:
         assert payload["failures"] > 0
         assert payload["first_failure"]["expected"] == 1
         assert payload["first_failure"]["got"] == 0
+        assert payload["first_failure"]["error"] is None
 
     def test_sublinear_with_cover_parameter(self, capsys):
         code, out, _ = run_cli(
@@ -329,7 +341,7 @@ class TestEmitPlotData:
         for line, n in zip(lines[1:], (2, 4, 8)):
             fields = line.split(",")
             assert int(fields[0]) == n
-            assert int(fields[4]) <= n + 1
+            assert int(fields[4]) == n + 1  # index always sends n bits, then 1
 
     def test_deterministic(self, capsys):
         args = (
@@ -441,8 +453,17 @@ class TestRegistry:
             assert built.handle.name == name
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownProtocolError):
-            build_protocol("nonsense", n=4)
+        # widths are canonical decimals: hash007 is not another name for hash7
+        for name in ("nonsense", "hash007", "truncate<t>", "index2", "parity-1"):
+            with pytest.raises(UnknownProtocolError):
+                build_protocol(name, n=4)
+
+    def test_readme_table_lists_every_registry_name(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("### Protocol names", 1)[1].split("\n\n")[1]
+        rows = table.splitlines()[2:]
+        names = [n for row in rows for n in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert tuple(names) == BASE_NAMES
 
     def test_unknown_perm_subprotocol(self):
         with pytest.raises(ValueError):
@@ -454,3 +475,48 @@ class TestRegistry:
         assert cost_bound("mpjk-sublinear", n=8, k=4, d=2) == 66.0
         assert cost_bound("bucketing", n=8, k=3, d=None) == 30.0
         assert cost_bound("truncate3", n=8, k=3, d=None) is None
+
+
+def crashing_index(n: int) -> BuiltProtocol:
+    """index, except that the answer player trips an invariant on start 1."""
+
+    def answer(view):
+        if view.start == 1:
+            raise ProtocolInvariantError("no answer for start 1")
+        return Message((view.messages[0].bits[view.start - 1],))
+
+    handle = ProtocolHandle(
+        "crashing", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
+        (lambda view: Message(view.final_bits.bits), answer), n=n,
+    )
+    return BuiltProtocol(handle, Variant.MPJ, None)
+
+
+class TestCrashingPlayers:
+    @pytest.fixture(autouse=True)
+    def crashing_registry(self, monkeypatch):
+        monkeypatch.setattr("mpjlab.cli.build_protocol", lambda name, *, n, **kw: crashing_index(n))
+
+    def test_verify_records_the_crash_and_carries_on(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--protocol", "index", "--n", "3", "--exhaustive",
+            "--format", "json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["checked"] == 24 and payload["failures"] == 8
+        first = payload["first_failure"]
+        assert first["instance"]["i"] == 1 and first["got"] is None
+        assert first["error"] == "ProtocolInvariantError: no answer for start 1"
+
+    def test_run_prints_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 3, "k": 2, "variant": "mpj", "i": 1, "layers": [], "x": "011"}
+        ))
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "index", "--n", "3", "--instance", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err == "error: no answer for start 1\n"
+

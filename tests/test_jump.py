@@ -220,14 +220,6 @@ class TestSurvivingChain:
 
 
 class TestKPlayerSublinear:
-    def test_three_player_case_matches_dedicated_protocol(self):
-        for d in (1, 2):
-            P = naive_perm_protocol(3)
-            folded = mpjk_sublinear(P, d, 3)
-            dedicated = mpj3_sublinear(P, d)
-            for inst in enumerate_instances(3, 3, Variant.MPJ):
-                assert run(folded, inst).messages == run(dedicated, inst).messages
-
     def test_exhaustive_four_players(self):
         proto = mpjk_sublinear(naive_perm_protocol(2), 1, 4)
         report = verify(proto, enumerate_instances(2, 4, Variant.MPJ))

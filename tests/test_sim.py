@@ -1,4 +1,4 @@
-"""Blackboard runtime: messages, views, replay checks, verification, cost tables."""
+"""Blackboard runtime: messages, views, replay checks, verification."""
 
 import itertools
 
@@ -15,15 +15,13 @@ from mpjlab.core import (
 )
 from mpjlab.jump import index_protocol
 from mpjlab.sim import (
-    CostRow,
     Message,
     PlayerView,
     ProtocolContractError,
     ProtocolHandle,
+    ProtocolInvariantError,
     Transcript,
     ViewKind,
-    cost_profile,
-    cost_rows_to_csv,
     decode_pointer,
     encode_pointer,
     make_view,
@@ -338,41 +336,28 @@ class TestVerify:
         assert report.checked == 24
         assert report.per_player_max_bits == (3, 1)
 
+    def test_crashing_player_is_a_recorded_failure(self):
+        # index at n=3, except that start 1 trips an invariant and start 2
+        # breaks the output contract with a two-bit answer
+        def answer(view):
+            if view.start == 1:
+                raise ProtocolInvariantError("no answer for start 1")
+            if view.start == 2:
+                return Message((0, 0))
+            return Message((view.messages[0].bits[view.start - 1],))
 
-class TestCostTables:
-    def sampler(self, protocol, n):
-        return enumerate_instances(n, protocol.k, protocol.variant)
-
-    def test_profile_measures_worst_costs(self):
-        rows = cost_profile(index_protocol, (2, 4), self.sampler)
-        assert [(r.n, r.max_cost, r.max_prefix_cost) for r in rows] == [
-            (2, 3, 2),
-            (4, 5, 4),
-        ]
-        assert rows[0].protocol == "index"
-        assert rows[0].view == "full-one-way"
-
-    def test_profile_of_nothing(self):
-        assert cost_profile(index_protocol, (), self.sampler) == []
-
-    def test_csv_schema_is_fixed(self):
-        rows = [CostRow(4, 2, "index", "full-one-way", 5, 4, (4, 1))]
-        assert cost_rows_to_csv(rows) == (
-            "n,k,protocol,view,max_cost,p1_bits,p2_bits\n"
-            "4,2,index,full-one-way,5,4,1\n"
+        crashing = ProtocolHandle(
+            "crashing", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
+            (lambda view: Message(view.final_bits.bits), answer),
         )
-
-    def test_csv_requires_single_k(self):
-        rows = [
-            CostRow(4, 2, "a", "full-one-way", 5, 4, (4, 1)),
-            CostRow(4, 3, "b", "full-one-way", 5, 4, (2, 2, 1)),
-        ]
-        with pytest.raises(ValueError):
-            cost_rows_to_csv(rows)
-
-    def test_csv_of_nothing_is_empty(self):
-        assert cost_rows_to_csv([]) == ""
-
-    def test_csv_is_deterministic(self):
-        rows = cost_profile(index_protocol, (2, 3), self.sampler)
-        assert cost_rows_to_csv(rows) == cost_rows_to_csv(rows)
+        report = verify(crashing, enumerate_instances(3, 2, Variant.MPJ))
+        assert report.checked == 24
+        assert len(report.failures) == 16
+        assert all(f.got is None for f in report.failures)
+        assert {f.inst.i for f in report.failures} == {1, 2}
+        by_start = {f.inst.i: f.error for f in report.failures}
+        assert by_start[1] == "ProtocolInvariantError: no answer for start 1"
+        assert by_start[2].startswith("ProtocolContractError: ")
+        assert report.per_player_max_bits == (3, 1)  # from the clean runs only
+        with pytest.raises(ProtocolInvariantError):
+            run(crashing, report.failures[0].inst)
