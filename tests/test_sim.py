@@ -13,6 +13,7 @@ from mpjlab.core import (
     compose_bits,
     enumerate_instances,
 )
+from mpjlab.cli import main
 from mpjlab.jump import index_protocol
 from mpjlab.sim import (
     Message,
@@ -361,3 +362,39 @@ class TestVerify:
         assert report.per_player_max_bits == (3, 1)  # from the clean runs only
         with pytest.raises(ProtocolInvariantError):
             run(crashing, report.failures[0].inst)
+
+
+class TestCostTables:
+    """Worst-cost tables: `verify` measures them, the CLI row builder prints them."""
+
+    def plot_csv(self, capsys, *argv):
+        assert main(["emit-plot-data", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_profile_measures_worst_costs(self):
+        rows = []
+        for n in (2, 4):
+            protocol = index_protocol(n)
+            report = verify(protocol, enumerate_instances(n, 2, Variant.MPJ))
+            rows.append((n, report.worst_cost, report.worst_prefix_cost))
+        assert rows == [(2, 3, 2), (4, 5, 4)]
+        assert protocol.name == "index"
+        assert protocol.view_kind.value == "full-one-way"
+
+    def test_csv_schema_is_fixed(self, capsys):
+        argv = ("--protocol", "index", "--n", "4", "--samples", "10", "--seed", "1")
+        plot = self.plot_csv(capsys, *argv)
+        assert plot == (
+            "n,k,protocol,view,max_cost,p1_bits,p2_bits\n"
+            "4,2,index,full-one-way,5,4,1\n"
+        )
+        # the plot table is the leading 5 + k columns of bench's table
+        assert main(["bench", *argv]) == 0
+        bench = capsys.readouterr().out
+        assert plot.splitlines() == [
+            ",".join(line.split(",")[:7]) for line in bench.splitlines()
+        ]
+
+    def test_csv_is_deterministic(self, capsys):
+        argv = ("--protocol", "index", "--n", "2,3", "--samples", "12", "--seed", "4")
+        assert self.plot_csv(capsys, *argv) == self.plot_csv(capsys, *argv)
