@@ -64,7 +64,6 @@ from .bucketing import (
     log_star,
 )
 from .adversary import (
-    AdversaryState,
     BoundRefusedError,
     CrossingPair,
     CrossingSearchError,

@@ -147,7 +147,7 @@ def find_crossed_cell(
 
 
 @dataclass(frozen=True)
-class AdversaryState:
+class _AdversaryState:
     """Progress of the level-by-level construction.
 
     After processing level j, `layers` holds the fixed middle layers
@@ -239,7 +239,7 @@ def build_fooling_inputs(protocol: ProtocolHandle) -> FoolingPair:
 
     first_msg, pair = cell_of(1, (), (), None)
     start = min(pair.positions(0, 1))
-    state = AdversaryState(1, start, (), (first_msg,), pair)
+    state = _AdversaryState(1, start, (), (first_msg,), pair)
 
     for level in range(1, k - 1):
         msg, new_pair = cell_of(level + 1, state.layers, state.prefix_messages, state.start)
@@ -253,7 +253,7 @@ def build_fooling_inputs(protocol: ProtocolHandle) -> FoolingPair:
         # the rewrite must compose back to the pair it replaced
         if old.x != new_pair.x.through(layer) or old.xp != new_pair.xp.through(layer):
             raise CrossingSearchError("layer rewrite failed to preserve the pair")
-        state = AdversaryState(
+        state = _AdversaryState(
             level + 1,
             state.start,
             state.layers + (layer,),

@@ -196,7 +196,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             verdict = "within" if payload["bound_ok"] else "OVER"
             lines.append(f"cost bound {bound:g}: {verdict}")
         if report.failures:
-            lines.append(f"first failure: {payload['first_failure']}")
+            first = report.failures[0]
+            got = "no output" if first.got is None else f"got {first.got}"
+            error = "" if first.error is None else f" ({first.error})"
+            lines.append(
+                f"first failure: expected {first.expected}, {got}{error}; "
+                f"instance JSON for run --instance:"
+            )
+            lines.append(json.dumps(instance_to_dict(first.inst), sort_keys=True))
         _emit("\n".join(lines) + "\n", args.output)
     return 1 if report.failures else 0
 
@@ -260,20 +267,28 @@ def _to_csv(lines: Iterable[list]) -> str:
     return buf.getvalue()
 
 
+def _rows_exit_code(rows: list[dict]) -> int:
+    return 1 if any(row["failures"] for row in rows) else 0
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     rows, k = _result_rows(args)
     if args.format == "json":
         _emit(_json_dump(rows), args.output)
-        return 0
-    _emit(_to_csv(_csv_lines(rows, k)), args.output)
-    return 0
+    else:
+        _emit(_to_csv(_csv_lines(rows, k)), args.output)
+    return _rows_exit_code(rows)
 
 
 def cmd_emit_plot_data(args: argparse.Namespace) -> int:
-    """The fixed plot schema: bench's CSV up to the per-player bit columns."""
+    """The fixed plot schema: bench's CSV up to the per-player bit columns.
+
+    The schema has no failures column, so the exit code (1) is the only sign
+    that some width answered wrongly.
+    """
     rows, k = _result_rows(args)
     _emit(_to_csv(line[: 5 + k] for line in _csv_lines(rows, k)), args.output)
-    return 0
+    return _rows_exit_code(rows)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:

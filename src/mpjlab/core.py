@@ -56,6 +56,40 @@ def _check_point(n: int, value: int, what: str) -> None:
         raise ValueError(f"{what} must be an integer in [1, {n}], got {value!r}")
 
 
+def _are_points(n: int, values: Sequence[int]) -> bool:
+    """Fast test that every value is a plain int in [1, n].
+
+    False is not a rejection: the caller then runs `_check_point` on each
+    value, which raises or accepts by the one rule (int subclasses such as
+    IntEnum members pass there, bool does not).
+    """
+    return (
+        type(values) is tuple
+        and all(type(v) is int for v in values)
+        and min(values) >= 1
+        and max(values) <= n
+    )
+
+
+_BIT_VALUES = frozenset((0, 1))
+
+
+def _are_bits(bits: Sequence[int]) -> bool:
+    """True when every element is 0 or 1, compared as `b in (0, 1)` compares.
+
+    The hashed subset test answers a plain tuple of hashable elements in one
+    C call (True and 1.0 hash and compare equal to 1, as `in` finds them);
+    anything else, e.g. an unhashable element, goes to the element loop.
+    """
+    if type(bits) is tuple:
+        try:
+            if _BIT_VALUES.issuperset(bits):
+                return True
+        except TypeError:  # an unhashable element: the loop decides
+            pass
+    return all(b in (0, 1) for b in bits)
+
+
 @dataclass(frozen=True)
 class LayerFunction:
     """A total function [n] -> [n], stored as its value tuple (f(1), ..., f(n))."""
@@ -68,15 +102,17 @@ class LayerFunction:
             raise ValueError(f"n must be positive, got {self.n}")
         if len(self.values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.values)}")
-        for v in self.values:
-            _check_point(self.n, v, "layer value")
+        if not _are_points(self.n, self.values):
+            for v in self.values:
+                _check_point(self.n, v, "layer value")
 
     @classmethod
     def identity(cls, n: int) -> "LayerFunction":
         return cls(n, tuple(range(1, n + 1)))
 
     def __call__(self, r: int) -> int:
-        _check_point(self.n, r, "argument")
+        if not (type(r) is int and 0 < r <= self.n):
+            _check_point(self.n, r, "argument")
         return self.values[r - 1]
 
     @property
@@ -119,7 +155,7 @@ class BitVector:
             raise ValueError(f"n must be positive, got {self.n}")
         if len(self.bits) != self.n:
             raise ValueError(f"expected {self.n} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+        if not _are_bits(self.bits):
             raise ValueError("bits must be 0 or 1")
 
     @classmethod
@@ -132,7 +168,8 @@ class BitVector:
         return "".join(str(b) for b in self.bits)
 
     def __call__(self, r: int) -> int:
-        _check_point(self.n, r, "position")
+        if not (type(r) is int and 0 < r <= self.n):
+            _check_point(self.n, r, "position")
         return self.bits[r - 1]
 
     @property
@@ -174,6 +211,19 @@ def compose_bits(x: BitVector, layers: Sequence[LayerFunction]) -> BitVector:
     """Collapse (layers, x) into one bit layer: position r holds x at the walk end."""
     g = chain_layers(layers, x.n)
     return x.through(g)
+
+
+def bit_suffixes(x: BitVector, layers: Sequence[LayerFunction]) -> tuple[BitVector, ...]:
+    """compose_bits(x, layers[t:]) for every t in 0..len(layers), in one pass.
+
+    Built right to left, one read-through per layer: the suffix from t is
+    the suffix from t+1 read through layers[t].
+    """
+    out = [x]
+    for f in reversed(layers):
+        out.append(out[-1].through(f))
+    out.reverse()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -301,16 +351,24 @@ class DerivedViews:
 
 
 def derive_views(inst: Instance) -> DerivedViews:
-    """Compute all walk points and collapsed suffixes of an instance."""
+    """Compute all walk points and collapsed suffixes of an instance.
+
+    This is the one derivation of collapsed suffixes. They are built right
+    to left, one composition per layer (the suffix after layer j is the
+    suffix after layer j+1 applied after layer j+1), so the pass is O(kn).
+    """
     n, k = inst.n, inst.k
     walk_layers = inst.middles if isinstance(inst, MpjInstance) else inst.layers[: k - 2]
     reached = [inst.i]
     for f in walk_layers:
         reached.append(f(reached[-1]))
     if isinstance(inst, MpjInstance):
-        suffixes = [compose_bits(inst.x, inst.middles[j - 1 :]) for j in range(1, k)]
-        return DerivedViews(n, k, Variant.MPJ, tuple(reached), tuple(suffixes), ())
-    maps = [chain_layers(inst.layers[j - 1 :], n) for j in range(1, k + 1)]
+        suffixes = bit_suffixes(inst.x, inst.middles)
+        return DerivedViews(n, k, Variant.MPJ, tuple(reached), suffixes, ())
+    maps = [LayerFunction.identity(n)]
+    for f in reversed(inst.layers):
+        maps.append(maps[-1].after(f))
+    maps.reverse()
     return DerivedViews(n, k, Variant.MPJ_HAT, tuple(reached), (), tuple(maps))
 
 

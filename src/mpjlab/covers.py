@@ -55,16 +55,28 @@ class FiberPartition:
 def build_fiber_partition(f: LayerFunction) -> FiberPartition:
     """Pair each fiber with a block: seeded by its output value, padded with
     the smallest unused non-range points, processed in ascending value order."""
-    range_values = f.range_values()
-    range_set = set(range_values)
-    fibers = tuple(f.fiber(s) for s in range_values)
-    spare = [r for r in range(1, f.n + 1) if r not in range_set]
+    groups: dict[int, list[int]] = {}
+    for r, s in enumerate(f.values, start=1):
+        groups.setdefault(s, []).append(r)
+    range_values = tuple(sorted(groups))
+    fibers = tuple(tuple(groups[s]) for s in range_values)
+    spare = [r for r in range(1, f.n + 1) if r not in groups]
     spare.reverse()  # pop() yields the smallest remaining
     blocks = []
     for s, fib in zip(range_values, fibers):
         block = [s] + [spare.pop() for _ in range(len(fib) - 1)]
         blocks.append(tuple(sorted(block)))
     return FiberPartition(f.n, range_values, fibers, tuple(blocks))
+
+
+def _fiber_sizes(f: LayerFunction, points: Iterable[int]) -> list[int]:
+    """sizes[s] = how many of the given points (all in [n]) f sends to s,
+    counted in one pass."""
+    values = f.values
+    sizes = [0] * (f.n + 1)
+    for r in points:
+        sizes[values[r - 1]] += 1
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -127,11 +139,12 @@ def verify_d_cover(
 ) -> tuple[bool, int | None]:
     """Check the covering condition; returns (ok, first bad point or None)."""
     members = perms.perms if isinstance(perms, CoverSet) else tuple(perms)
+    fiber_sizes = _fiber_sizes(f, range(1, f.n + 1))
     for r in range(1, f.n + 1):
         target = f(r)
         if any(pi(r) == target for pi in members):
             continue
-        if len(f.fiber(target)) > d:
+        if fiber_sizes[target] > d:
             continue
         return False, r
     return True, None
@@ -177,11 +190,13 @@ def verify_sd_cover(
     """Check the scoped covering condition; returns (ok, first bad point or None)."""
     members = perms.perms if isinstance(perms, CoverSet) else tuple(perms)
     scope_set = frozenset(scope)
+    # scope points outside [n] lie in no fiber; f(r) below rejects them
+    fiber_sizes = _fiber_sizes(f, (r for r in range(1, f.n + 1) if r in scope_set))
     for r in sorted(scope_set):
         target = f(r)
         if any(pi(r) == target for pi in members):
             continue
-        if sum(1 for p in f.fiber(target) if p in scope_set) > d:
+        if fiber_sizes[target] > d:
             continue
         return False, r
     return True, None

@@ -26,12 +26,12 @@ from .core import (
     LayerFunction,
     MpjInstance,
     Variant,
-    compose_bits,
+    bit_suffixes,
     eval_mpj,
     follow_pointers,
     sample_instance,
 )
-from .covers import CoverSet, build_d_cover, build_sd_cover
+from .covers import CoverSet, _fiber_sizes, build_d_cover, build_sd_cover
 from .sim import (
     Message,
     PlayerView,
@@ -171,14 +171,12 @@ def build_sj_chain(middles: Sequence[LayerFunction], d: int) -> SjChain:
     if d < 1:
         raise ValueError("d must be at least 1")
     n = middles[0].n
+    if any(f.n != n for f in middles):
+        raise ValueError("chain layers must share one width")
     levels = [frozenset(range(1, n + 1))]
     for f in middles:
-        prev = levels[-1]
-        levels.append(
-            frozenset(
-                s for s in range(1, n + 1) if sum(1 for r in f.fiber(s) if r in prev) > d
-            )
-        )
+        counts = _fiber_sizes(f, levels[-1])
+        levels.append(frozenset(s for s in range(1, n + 1) if counts[s] > d))
     return SjChain(n, d, tuple(levels))
 
 
@@ -230,11 +228,11 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
         middles = view.later_layers
         x = view.final_bits
         chain = build_sj_chain(middles, d)
+        suffixes = bit_suffixes(x, middles)  # suffixes[lvl] collapses middles[lvl:]
         parts = []
         for lvl in range(1, k - 1):
             cover = _level_cover(middles[lvl - 1], chain.level(lvl), d, view.n)
-            suffix = compose_bits(x, middles[lvl:])
-            parts.append(_alpha_block(P, cover, suffix))
+            parts.append(_alpha_block(P, cover, suffixes[lvl]))
         last = sorted(chain.level(k - 1))
         parts.append(Message.from_bits(x(s) for s in last))
         return Message.concat(parts)
@@ -259,7 +257,7 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
             pointer = walk[lvl - 1]
             target = f(pointer)
             scope = chain.level(lvl)
-            if sum(1 for r in f.fiber(target) if r in scope) > d:
+            if sum(1 for r in scope if f.values[r - 1] == target) > d:
                 continue
             cover = _level_cover(f, scope, d, view.n)
             for ell, pi in enumerate(cover.perms):

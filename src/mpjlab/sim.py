@@ -27,15 +27,14 @@ from typing import Callable, Iterable
 
 from .core import (
     BitVector,
+    DerivedViews,
     Instance,
     LayerFunction,
-    MpjHatInstance,
     MpjInstance,
     Variant,
-    chain_layers,
-    compose_bits,
+    _are_bits,
+    derive_views,
     eval_instance,
-    follow_pointers,
 )
 
 
@@ -60,7 +59,7 @@ class Message:
     bits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        if not _are_bits(self.bits):
             raise ValueError("message bits must be 0 or 1")
 
     def __len__(self) -> int:
@@ -168,6 +167,22 @@ class PlayerView:
     suffix: BitVector | LayerFunction | None = None
 
 
+# The derived views of the last instance projected, so that the k views of
+# one run share a single derivation. The entry holds its instance and is
+# matched by identity, so it can never answer for another instance.
+_last_derived: tuple[Instance, DerivedViews] | None = None
+
+
+def _derived(inst: Instance) -> DerivedViews:
+    global _last_derived
+    last = _last_derived
+    if last is not None and last[0] is inst:
+        return last[1]
+    views = derive_views(inst)
+    _last_derived = (inst, views)
+    return views
+
+
 def make_view(
     inst: Instance, j: int, kind: ViewKind, messages: tuple[Message, ...]
 ) -> PlayerView:
@@ -178,11 +193,12 @@ def make_view(
     base = dict(j=j, n=n, k=k, variant=inst.variant, kind=kind, messages=messages)
     boolean = isinstance(inst, MpjInstance)
     layers = inst.middles if boolean else inst.layers
+    derived = _derived(inst)
 
     if boolean:
-        suffix = compose_bits(inst.x, inst.middles[j - 1 :]) if j < k else None
+        suffix = derived.suffix_bits(j) if j < k else None
     else:
-        suffix = chain_layers(layers[j - 1 :], n)
+        suffix = derived.suffix_map(j)
 
     if kind is ViewKind.FULL_ONE_WAY:
         return PlayerView(
@@ -201,7 +217,7 @@ def make_view(
             suffix=suffix,
         )
     # conservative collapsing: only the walk point and the collapsed suffix
-    walked = follow_pointers(inst.i, layers[: j - 2]) if j >= 2 else None
+    walked = derived.reached_at(j) if j >= 2 else None
     return PlayerView(**base, walked=walked, suffix=suffix)
 
 

@@ -262,6 +262,25 @@ class TestVerify:
         assert payload["first_failure"]["got"] == 0
         assert payload["first_failure"]["error"] is None
 
+    def test_text_first_failure_is_replayable_json(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "verify", "--protocol", "broken-const", "--n", "4", "--samples", "3",
+        )
+        assert code == 1
+        *_, label, line = out.splitlines()
+        assert label.startswith("first failure: expected 1, got 0;")
+        inst = instance_from_dict(json.loads(line))
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+        path = tmp_path / "first.json"
+        path.write_text(line + "\n")
+        code, out, _ = run_cli(
+            capsys, "run", "--protocol", "broken-const", "--n", "4", "--instance", str(path)
+        )
+        assert code == 0
+        replay = json.loads(out)
+        assert instance_from_dict(replay["instance"]) == inst
+        assert replay["correct"] is False and replay["expected"] == 1
+
     def test_sublinear_with_cover_parameter(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--protocol", "mpj3-sublinear", "--n", "3", "--d", "2",
@@ -328,6 +347,19 @@ class TestBench:
         assert all(row["failures"] == 0 and row["bound_ok"] for row in rows)
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failures_exit_one(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "bench", "--protocol", "broken-const", "--n", "4,5", "--samples", "20",
+            "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "csv":
+            assert out.splitlines()[1] == "4,3,broken-const,full-one-way,1,0,0,1,20,9,,"
+        else:
+            assert [row["failures"] for row in json.loads(out)] == [9, 8]
+
+
 class TestEmitPlotData:
     def test_fixed_schema(self, capsys):
         code, out, _ = run_cli(
@@ -342,6 +374,17 @@ class TestEmitPlotData:
             fields = line.split(",")
             assert int(fields[0]) == n
             assert int(fields[4]) == n + 1  # index always sends n bits, then 1
+
+    def test_failures_exit_one(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "emit-plot-data", "--protocol", "broken-const", "--n", "4",
+            "--samples", "20",
+        )
+        assert code == 1
+        assert out == (
+            "n,k,protocol,view,max_cost,p1_bits,p2_bits,p3_bits\n"
+            "4,3,broken-const,full-one-way,1,0,0,1\n"
+        )
 
     def test_deterministic(self, capsys):
         args = (
@@ -508,6 +551,18 @@ class TestCrashingPlayers:
         first = payload["first_failure"]
         assert first["instance"]["i"] == 1 and first["got"] is None
         assert first["error"] == "ProtocolInvariantError: no answer for start 1"
+
+    def test_verify_text_names_the_crash(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--protocol", "index", "--n", "3", "--exhaustive",
+        )
+        assert code == 1
+        *_, label, line = out.splitlines()
+        assert label == (
+            "first failure: expected 0, no output (ProtocolInvariantError: no answer "
+            "for start 1); instance JSON for run --instance:"
+        )
+        assert instance_from_dict(json.loads(line)).i == 1
 
     def test_run_prints_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "inst.json"

@@ -1,0 +1,450 @@
+"""The linear hot paths agree with the definitions they replaced.
+
+Each reference below is the code the package ran before: per-element
+validation loops, one `fiber()` scan per point, and one `chain_layers` /
+`compose_bits` per player or level. The package's one-pass versions must
+accept, reject, count and compose exactly as these do, with the same
+error texts.
+"""
+
+import random
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpjlab.core import (
+    BitVector,
+    LayerFunction,
+    MpjHatInstance,
+    MpjInstance,
+    Variant,
+    bit_suffixes,
+    chain_layers,
+    compose_bits,
+    derive_views,
+    follow_pointers,
+    sample_instances,
+)
+from mpjlab.covers import (
+    FiberPartition,
+    build_d_cover,
+    build_fiber_partition,
+    build_sd_cover,
+    verify_d_cover,
+    verify_sd_cover,
+)
+from mpjlab.jump import SjChain, build_sj_chain
+from mpjlab.sim import Message, PlayerView, ViewKind, make_view
+
+ALL_KINDS = (ViewKind.FULL_ONE_WAY, ViewKind.COLLAPSING, ViewKind.CONSERVATIVE_COLLAPSING)
+
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_check_point(n, value, what):
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= n:
+        raise ValueError(f"{what} must be an integer in [1, {n}], got {value!r}")
+
+
+def ref_layer(n, values):
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if len(values) != n:
+        raise ValueError(f"expected {n} values, got {len(values)}")
+    for v in values:
+        ref_check_point(n, v, "layer value")
+
+
+def ref_bit_vector(n, bits):
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if len(bits) != n:
+        raise ValueError(f"expected {n} bits, got {len(bits)}")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+
+
+def ref_message(bits):
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("message bits must be 0 or 1")
+
+
+def ref_apply(n, values, r, what):
+    ref_check_point(n, r, what)
+    return values[r - 1]
+
+
+def ref_fiber(f, s):
+    return tuple(r for r in range(1, f.n + 1) if f.values[r - 1] == s)
+
+
+def ref_sj_chain(middles, d):
+    n = middles[0].n
+    levels = [frozenset(range(1, n + 1))]
+    for f in middles:
+        prev = levels[-1]
+        levels.append(
+            frozenset(
+                s for s in range(1, n + 1) if sum(1 for r in ref_fiber(f, s) if r in prev) > d
+            )
+        )
+    return SjChain(n, d, tuple(levels))
+
+
+def ref_fiber_partition(f):
+    range_values = tuple(sorted(set(f.values)))
+    fibers = tuple(ref_fiber(f, s) for s in range_values)
+    spare = [r for r in range(1, f.n + 1) if r not in set(range_values)]
+    spare.reverse()
+    blocks = []
+    for s, fib in zip(range_values, fibers):
+        block = [s] + [spare.pop() for _ in range(len(fib) - 1)]
+        blocks.append(tuple(sorted(block)))
+    return FiberPartition(f.n, range_values, fibers, tuple(blocks))
+
+
+def ref_verify_d_cover(perms, f, d):
+    for r in range(1, f.n + 1):
+        target = f(r)
+        if any(pi(r) == target for pi in perms):
+            continue
+        if len(ref_fiber(f, target)) > d:
+            continue
+        return False, r
+    return True, None
+
+
+def ref_verify_sd_cover(perms, f, scope, d):
+    scope_set = frozenset(scope)
+    for r in sorted(scope_set):
+        target = f(r)
+        if any(pi(r) == target for pi in perms):
+            continue
+        if sum(1 for p in ref_fiber(f, target) if p in scope_set) > d:
+            continue
+        return False, r
+    return True, None
+
+
+def ref_make_view(inst, j, kind, messages):
+    n, k = inst.n, inst.k
+    base = dict(j=j, n=n, k=k, variant=inst.variant, kind=kind, messages=messages)
+    boolean = isinstance(inst, MpjInstance)
+    layers = inst.middles if boolean else inst.layers
+    if boolean:
+        suffix = compose_bits(inst.x, inst.middles[j - 1 :]) if j < k else None
+    else:
+        suffix = chain_layers(layers[j - 1 :], n)
+    if kind is ViewKind.FULL_ONE_WAY:
+        return PlayerView(
+            **base,
+            start=inst.i if j != 1 else None,
+            prefix_layers=layers[: j - 2] if j >= 2 else (),
+            later_layers=layers[j - 1 :],
+            final_bits=inst.x if boolean and j != k else None,
+            suffix=suffix,
+        )
+    if kind is ViewKind.COLLAPSING:
+        return PlayerView(
+            **base,
+            start=inst.i if j != 1 else None,
+            prefix_layers=layers[: j - 2] if j >= 2 else (),
+            suffix=suffix,
+        )
+    walked = follow_pointers(inst.i, layers[: j - 2]) if j >= 2 else None
+    return PlayerView(**base, walked=walked, suffix=suffix)
+
+
+def built(cls, *args):
+    """Construct and discard: the construction's outcome is the observation."""
+    cls(*args)
+
+
+def outcome(fn, *args):
+    """What a call does: ("ok", result) or (exception type name, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the observation
+        return (type(exc).__name__, str(exc))
+
+
+# -- validation ---------------------------------------------------------------
+
+
+class Point(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+class Bit(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class EqualsOneHashedElsewhere:
+    """Equal to 1 but hashed apart from it: `in (0, 1)` finds it, a set does not."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __hash__(self):
+        return 12345
+
+    def __repr__(self):
+        return "EqualsOneHashedElsewhere()"
+
+
+class UnhashableZero:
+    """Equal to 0 and unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return other == 0
+
+    def __repr__(self):
+        return "UnhashableZero()"
+
+
+def odd_values(n):
+    """Values of every kind the old loops had to judge."""
+    return st.one_of(
+        st.integers(-1, n + 2),
+        st.booleans(),
+        st.sampled_from(list(Point)),
+        st.sampled_from([1.0, 2.0, 0.5, float("nan"), "1", None, Fraction(1), Decimal(1)]),
+        st.lists(st.integers(1, n), max_size=2),
+    )
+
+
+def odd_bits():
+    return st.one_of(
+        st.integers(-1, 2),
+        st.booleans(),
+        st.sampled_from(list(Bit)),
+        st.sampled_from([
+            1.0, 0.0, -0.0, 0.5, 1 + 0j, "1", None, Fraction(1), Decimal(0),
+            EqualsOneHashedElsewhere(), UnhashableZero(),
+        ]),
+        st.lists(st.integers(0, 1), max_size=2),
+    )
+
+
+@st.composite
+def mostly_valid(draw, elements, good):
+    """A sequence that is usually valid except for a few drawn odd elements."""
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(good(n), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        if values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(elements(n))
+    container = draw(st.sampled_from([tuple, list]))
+    return n, container(values)
+
+
+class TestValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(mostly_valid(odd_values, lambda n: st.integers(1, n)), st.integers(-1, 1))
+    def test_layer_function_accepts_and_rejects_as_before(self, case, width_shift):
+        n, values = case
+        width = n + width_shift
+        assert outcome(built, LayerFunction, width, values) == outcome(ref_layer, width, values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=n, max_size=n),
+                            odd_values(n))
+    ))
+    def test_layer_application_accepts_and_rejects_as_before(self, case):
+        n, values, r = case
+        f = LayerFunction(n, tuple(values))
+        assert outcome(f, r) == outcome(ref_apply, n, tuple(values), r, "argument")
+
+    @settings(max_examples=400, deadline=None)
+    @given(mostly_valid(lambda n: odd_bits(), lambda n: st.integers(0, 1)))
+    def test_bit_vector_accepts_and_rejects_as_before(self, case):
+        n, bits = case
+        assert outcome(built, BitVector, n, bits) == outcome(ref_bit_vector, n, bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                            odd_values(n))
+    ))
+    def test_bit_vector_reading_accepts_and_rejects_as_before(self, case):
+        n, bits, r = case
+        x = BitVector(n, tuple(bits))
+        assert outcome(x, r) == outcome(ref_apply, n, tuple(bits), r, "position")
+
+    @settings(max_examples=400, deadline=None)
+    @given(mostly_valid(lambda n: odd_bits(), lambda n: st.integers(0, 1)))
+    def test_message_accepts_and_rejects_as_before(self, case):
+        _, bits = case
+        assert outcome(built, Message, bits) == outcome(ref_message, bits)
+
+    @pytest.mark.parametrize(
+        "bits, accepted",
+        [
+            ((True, False), True),
+            ((Bit.ONE, 0), True),
+            ((1.0, 0), True),
+            ((0, 1), True),
+            ((0, 2), False),
+            ((0, [1]), False),
+            ((UnhashableZero(), 1), True),
+            ((EqualsOneHashedElsewhere(),), True),
+            ([0, 1], True),
+            ((), True),
+        ],
+    )
+    def test_named_message_cases(self, bits, accepted):
+        assert outcome(ref_message, bits)[0] == ("ok" if accepted else "ValueError")
+        assert outcome(built, Message, bits) == outcome(ref_message, bits)
+
+    @pytest.mark.parametrize(
+        "values, accepted",
+        [
+            ((1, 2, 3), True),
+            ((Point.ONE, 2, 3), True),
+            ((True, 2, 3), False),
+            ((1.0, 2, 3), False),
+            ((0, 2, 3), False),
+            ((1, 2, 4), False),  # n + 1
+            ([1, 2, 3], True),
+            ((1, [2], 3), False),
+        ],
+    )
+    def test_named_layer_cases(self, values, accepted):
+        assert outcome(ref_layer, 3, values)[0] == ("ok" if accepted else "ValueError")
+        assert outcome(built, LayerFunction, 3, values) == outcome(ref_layer, 3, values)
+
+
+# -- one-pass fiber counting ----------------------------------------------------
+
+
+def seeded_layers(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        skew = rng.randint(1, n)  # small skew gives large fibers
+        yield LayerFunction(n, tuple(rng.randint(1, skew) for _ in range(n)))
+
+
+def seeded_perms(rng, n, count):
+    out = []
+    for _ in range(count):
+        vals = list(range(1, n + 1))
+        rng.shuffle(vals)
+        out.append(LayerFunction(n, tuple(vals)))
+    return out
+
+
+class TestFiberCounting:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sj_chain_matches_fiber_scans(self, d):
+        rng = random.Random(100 + d)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            skew = rng.randint(1, n)
+            middles = tuple(
+                LayerFunction(n, tuple(rng.randint(1, skew) for _ in range(n)))
+                for _ in range(rng.randint(1, 4))
+            )
+            assert build_sj_chain(middles, d) == ref_sj_chain(middles, d)
+
+    def test_sj_chain_refuses_mixed_widths(self):
+        with pytest.raises(ValueError, match="share one width"):
+            build_sj_chain((LayerFunction(3, (1, 1, 1)), LayerFunction(2, (1, 1))), 1)
+
+    def test_fiber_partition_matches_fiber_scans(self):
+        for f in seeded_layers(7, 500):
+            assert build_fiber_partition(f) == ref_fiber_partition(f)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cover_checks_match_fiber_scans(self, d):
+        rng = random.Random(200 + d)
+        for f in seeded_layers(300 + d, 200):
+            scope = frozenset(r for r in range(1, f.n + 1) if rng.random() < 0.6)
+            candidates = [
+                build_d_cover(f, d).perms,
+                build_sd_cover(f, scope, d).perms,
+                tuple(seeded_perms(rng, f.n, d)),  # random members usually fail
+            ]
+            for perms in candidates:
+                assert verify_d_cover(perms, f, d) == ref_verify_d_cover(perms, f, d)
+                assert verify_sd_cover(perms, f, scope, d) == ref_verify_sd_cover(
+                    perms, f, scope, d
+                )
+
+    def test_scope_points_outside_the_range_are_rejected_as_before(self):
+        f = LayerFunction(3, (1, 1, 2))
+        perms = (LayerFunction.identity(3),)
+        for scope in ({1, 2, 9}, {0, 3}, {3, 4}):
+            assert outcome(verify_sd_cover, perms, f, scope, 1) == outcome(
+                ref_verify_sd_cover, perms, f, scope, 1
+            )
+
+
+# -- one suffix derivation -------------------------------------------------------
+
+
+def seeded_instances(seed):
+    for n in (1, 2, 3, 5):
+        for k in range(2, 7):
+            for variant in Variant:
+                yield from sample_instances(n, k, variant, count=4, seed=seed + 10 * n + k)
+
+
+class TestSuffixDerivation:
+    def test_derive_views_matches_per_suffix_composition(self):
+        for inst in seeded_instances(1):
+            views = derive_views(inst)
+            if isinstance(inst, MpjInstance):
+                for j in range(1, inst.k):
+                    assert views.suffix_bits(j) == compose_bits(inst.x, inst.middles[j - 1 :])
+            else:
+                for j in range(1, inst.k + 1):
+                    assert views.suffix_map(j) == chain_layers(inst.layers[j - 1 :], inst.n)
+            layers = inst.middles if isinstance(inst, MpjInstance) else inst.layers
+            for j in range(2, inst.k + 1):
+                assert views.reached_at(j) == follow_pointers(inst.i, layers[: j - 2])
+
+    def test_bit_suffixes_match_compose_bits(self):
+        for inst in seeded_instances(2):
+            if isinstance(inst, MpjInstance):
+                suffixes = bit_suffixes(inst.x, inst.middles)
+                assert len(suffixes) == len(inst.middles) + 1
+                for t, suffix in enumerate(suffixes):
+                    assert suffix == compose_bits(inst.x, inst.middles[t:])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_make_view_is_unchanged(self, kind):
+        messages = (Message.from01("01"),)
+        for inst in seeded_instances(3):
+            for j in range(1, inst.k + 1):
+                assert make_view(inst, j, kind, messages) == ref_make_view(inst, j, kind, messages)
+
+    def test_interleaved_instances_get_their_own_views(self):
+        # views are projected from the last derived instance; alternating
+        # between instances (equal ones included) must never mix them up
+        a, b = list(sample_instances(4, 5, Variant.MPJ, count=2, seed=9))
+        twin = MpjInstance(a.n, a.k, a.i, a.middles, a.x)
+        hat = next(sample_instances(4, 5, Variant.MPJ_HAT, count=1, seed=9))
+        order = [a, b, a, twin, hat, b, hat, a]
+        for kind in ALL_KINDS:
+            for j in range(1, 6):
+                for inst in order:
+                    assert make_view(inst, j, kind, ()) == ref_make_view(inst, j, kind, ())
+
+    def test_pointer_variant_with_permutation_layers(self):
+        for inst in sample_instances(5, 4, Variant.MPJ_HAT, (True, True, True), count=20, seed=4):
+            assert isinstance(inst, MpjHatInstance)
+            for j in range(1, 5):
+                for kind in ALL_KINDS:
+                    assert make_view(inst, j, kind, ()) == ref_make_view(inst, j, kind, ())
