@@ -26,6 +26,7 @@ way and must answer one wrong.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,50 +148,12 @@ def find_crossed_cell(
 
 
 @dataclass(frozen=True)
-class _AdversaryState:
-    """Progress of the level-by-level construction.
-
-    After processing level j, `layers` holds the fixed middle layers
-    f_2..f_j, `prefix_messages` the forced first j messages, and `pair`
-    the current crossing pair standing in for everything after layer j.
-    """
-
-    level: int
-    start: int
-    layers: tuple[LayerFunction, ...]
-    prefix_messages: tuple[Message, ...]
-    pair: CrossingPair
-
-
-@dataclass(frozen=True)
 class FoolingPair:
     """Two instances the protocol cannot distinguish until too late."""
 
     inst0: MpjInstance
     inst1: MpjInstance
     prefix_messages: tuple[Message, ...]
-
-
-def _collapsing_view(
-    protocol: ProtocolHandle,
-    j: int,
-    n: int,
-    start: int | None,
-    layers: tuple[LayerFunction, ...],
-    messages: tuple[Message, ...],
-    suffix: BitVector,
-) -> PlayerView:
-    return PlayerView(
-        j=j,
-        n=n,
-        k=protocol.k,
-        variant=Variant.MPJ,
-        kind=ViewKind.COLLAPSING,
-        messages=messages,
-        start=start,
-        prefix_layers=layers,
-        suffix=suffix,
-    )
 
 
 def _check_preconditions(protocol: ProtocolHandle) -> int:
@@ -226,46 +189,43 @@ def build_fooling_inputs(protocol: ProtocolHandle) -> FoolingPair:
     n = _check_preconditions(protocol)
     k = protocol.k
 
-    def cell_of(j: int, state_layers, state_msgs, start):
+    def cell_of(j: int, start: int | None, layers, messages) -> tuple[Message, CrossingPair]:
+        """Player j's first crossed cell over the suffixes it may be shown."""
+        view = functools.partial(
+            PlayerView, j=j, n=n, k=k, variant=Variant.MPJ, kind=ViewKind.COLLAPSING,
+            messages=messages, start=start, prefix_layers=layers,
+        )
         fn = protocol.players[j - 1]
-        bound = protocol.declared_max_bits[j - 1]
         return find_crossed_cell(
-            lambda y: fn(
-                _collapsing_view(protocol, j, n, start, state_layers, state_msgs, y)
-            ),
-            n,
-            bound,
+            lambda y: fn(view(suffix=y)), n, protocol.declared_max_bits[j - 1]
         )
 
-    first_msg, pair = cell_of(1, (), (), None)
+    # after player j: `layers` fixes f_2..f_j, `messages` holds the forced
+    # first j messages, and `pair` stands in for everything after layer j
+    msg, pair = cell_of(1, None, (), ())
     start = min(pair.positions(0, 1))
-    state = _AdversaryState(1, start, (), (first_msg,), pair)
-
-    for level in range(1, k - 1):
-        msg, new_pair = cell_of(level + 1, state.layers, state.prefix_messages, state.start)
+    layers: tuple[LayerFunction, ...] = ()
+    messages = (msg,)
+    for j in range(2, k):
+        msg, new_pair = cell_of(j, start, layers, messages)
         targets = {p: min(new_pair.positions(*p)) for p in PATTERNS}
-        old = state.pair
         values = [0] * n
         for p in PATTERNS:
-            for r in old.positions(*p):
+            for r in pair.positions(*p):
                 values[r - 1] = targets[p]
         layer = LayerFunction(n, tuple(values))
         # the rewrite must compose back to the pair it replaced
-        if old.x != new_pair.x.through(layer) or old.xp != new_pair.xp.through(layer):
+        if pair.x != new_pair.x.through(layer) or pair.xp != new_pair.xp.through(layer):
             raise CrossingSearchError("layer rewrite failed to preserve the pair")
-        state = _AdversaryState(
-            level + 1,
-            state.start,
-            state.layers + (layer,),
-            state.prefix_messages + (msg,),
-            new_pair,
-        )
+        layers += (layer,)
+        messages += (msg,)
+        pair = new_pair
 
-    inst0 = MpjInstance(n, k, state.start, state.layers, state.pair.x)
-    inst1 = MpjInstance(n, k, state.start, state.layers, state.pair.xp)
+    inst0 = MpjInstance(n, k, start, layers, pair.x)
+    inst1 = MpjInstance(n, k, start, layers, pair.xp)
     if eval_mpj(inst0) != 0 or eval_mpj(inst1) != 1:
         raise CrossingSearchError("constructed pair has the wrong answers")
-    return FoolingPair(inst0, inst1, state.prefix_messages)
+    return FoolingPair(inst0, inst1, messages)
 
 
 @dataclass(frozen=True)

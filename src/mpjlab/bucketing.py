@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .core import LayerFunction, Variant, follow_pointers
 from .sim import (
@@ -74,10 +74,8 @@ def bucket_members(t: int, n: int, j: int) -> tuple[int, ...]:
     """All points of bucket j, ascending (possibly empty for large j)."""
     if not 1 <= j <= 2**t:
         raise ValueError(f"bucket {j} outside [1, {2 ** t}]")
-    # bucket j covers ((j-1) * n / 2^t, j * n / 2^t]
-    lo = (j - 1) * n // (2**t) + 1
-    hi = j * n // (2**t)
-    return tuple(r for r in range(max(lo, 1), min(hi, n) + 1) if bucket_index(t, n, r) == j)
+    # r is in bucket j iff (j-1) * n < 2^t * r <= j * n
+    return tuple(range((j - 1) * n // 2**t + 1, j * n // 2**t + 1))
 
 
 @dataclass(frozen=True)
@@ -149,22 +147,24 @@ def _parse_survivors(msg: Message, n: int, width: int) -> tuple[tuple[int, ...],
     return survivors, indices
 
 
-def _read_index(indices: Message, rank: int, width: int) -> int:
-    return indices.slice(rank * width, (rank + 1) * width).to_uint() + 1
+def _read_index(area: Message, rank: int, width: int) -> int:
+    return area.slice(rank * width, (rank + 1) * width).to_uint() + 1
 
 
 def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int) -> int:
-    """Recover the announced bucket of the answer from the previous message.
+    """Recover the announced bucket of the answer from message j-1, as player j
+    reads it.
 
-    Player 2 reads position i of the first announcement; later players
-    locate their walk point inside the previous survivor set.
+    Player 2 reads position i of the first announcement; later players,
+    the last one included, locate their walk point inside the previous
+    survivor set.
     """
     prev = view.messages[j - 2]
     prev_width = plan.width(j - 1)
     if j == 2:
         if len(prev) != view.n * prev_width:
             raise ProtocolInvariantError("first announcement has the wrong size")
-        return prev.slice((walk_point - 1) * prev_width, walk_point * prev_width).to_uint() + 1
+        return _read_index(prev, walk_point - 1, prev_width)
     survivors, indices = _parse_survivors(prev, view.n, prev_width)
     if walk_point not in survivors:
         raise ProtocolInvariantError("walk point missing from the surviving set")
@@ -179,12 +179,13 @@ def _walk_of(view: PlayerView, upto: int) -> int:
 def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
     n, k = plan.n, plan.k
 
+    def index_area(g: LayerFunction, points: Iterable[int], t: int) -> Message:
+        """The t-bit bucket index of g(r) for each point r, in order."""
+        return Message.concat(Message.from_uint(bucket_index(t, n, g(r)) - 1, t) for r in points)
+
     def speak_first(view: PlayerView) -> Message:
-        g = view.suffix  # collapsed suffix of layer 1
-        t = plan.width(1)
-        return Message.concat(
-            Message.from_uint(bucket_index(t, n, g(r)) - 1, t) for r in range(1, n + 1)
-        )
+        # view.suffix is the collapsed suffix of layer 1
+        return index_area(view.suffix, range(1, n + 1), plan.width(1))
 
     def announcer_for(j: int) -> Callable[[PlayerView], Message]:
         def speak_buckets(view: PlayerView) -> Message:
@@ -196,37 +197,19 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
             g = view.suffix
             survivors = tuple(s for s in range(1, n + 1) if g(s) in members)
             survivor_set = set(survivors)
-            t = plan.width(j)
             indicator = Message.from_bits(
                 1 if s in survivor_set else 0 for s in range(1, n + 1)
             )
-            indices = Message.concat(
-                Message.from_uint(bucket_index(t, n, g(s)) - 1, t) for s in survivors
-            )
-            return indicator + indices
+            return indicator + index_area(g, survivors, plan.width(j))
 
         return speak_buckets
 
     def speak_answer(view: PlayerView) -> Message:
-        stop = plan.terminal
-        # chain check: every walk point must survive into the set that framed it
-        for j in range(3, stop + 1):
-            survivors, _ = _parse_survivors(view.messages[j - 2], n, plan.width(j - 1))
-            if _walk_of(view, j) not in survivors:
-                raise ProtocolInvariantError("walk point missing from the surviving set")
-        walk_point = _walk_of(view, stop + 1)
-        t = plan.width(stop)
-        msg = view.messages[stop - 1]
-        if stop == 1:
-            if len(msg) != n * t:
-                raise ProtocolInvariantError("first announcement has the wrong size")
-            value = msg.slice((walk_point - 1) * t, walk_point * t).to_uint() + 1
-        else:
-            survivors, indices = _parse_survivors(msg, n, t)
-            if walk_point not in survivors:
-                raise ProtocolInvariantError("walk point missing from the surviving set")
-            value = _read_index(indices, survivors.index(walk_point), t)
-        members = bucket_members(t, n, value)
+        # every announcement is read as its successor reads it, so each walk
+        # point must survive into the set that framed it
+        for j in range(2, plan.terminal + 2):
+            value = _bucket_of_walk(view, plan, j, _walk_of(view, j))
+        members = bucket_members(plan.width(plan.terminal), n, value)
         if len(members) != 1:
             raise ProtocolInvariantError("terminal bucket is not a singleton")
         return encode_pointer(members[0], n)

@@ -31,7 +31,7 @@ from .core import (
     sample_instances,
 )
 from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
-from .registry import BuiltProtocol, UnknownProtocolError, build_protocol, cost_bound
+from .registry import BuiltProtocol, UnknownProtocolError, _cover_d, build_protocol, cost_bound
 from .sim import ProtocolContractError, ProtocolInvariantError, run, verify
 
 SEED_ENV_VAR = "MPJLAB_SEED"
@@ -294,6 +294,7 @@ def cmd_emit_plot_data(args: argparse.Namespace) -> int:
 def cmd_cover(args: argparse.Namespace) -> int:
     n = len(args.f)
     f = LayerFunction(n, tuple(args.f))
+    _cover_d(args.d, n)
     if args.s is None:
         cover = build_d_cover(f, args.d)
         ok, witness = verify_d_cover(cover, f, args.d)

@@ -391,7 +391,11 @@ def embed_three(inst: MpjInstance, j: int) -> MpjInstance:
     )
 
 
-def _normalized_mask(n_layers: int, perm_mask: Sequence[bool] | None) -> tuple[bool, ...]:
+def _normalized_mask(
+    k: int, variant: Variant, perm_mask: Sequence[bool] | None
+) -> tuple[bool, ...]:
+    """One flag per function layer: k-2 middles for mpj, k-1 layers for mpjhat."""
+    n_layers = k - 2 if variant is Variant.MPJ else k - 1
     if perm_mask is None:
         return (False,) * n_layers
     mask = tuple(bool(b) for b in perm_mask)
@@ -404,8 +408,7 @@ def instance_count(
     n: int, k: int, variant: Variant, perm_mask: Sequence[bool] | None = None
 ) -> int:
     """Exact size of the (optionally permutation-restricted) instance space."""
-    n_layers = k - 2 if variant is Variant.MPJ else k - 1
-    mask = _normalized_mask(n_layers, perm_mask)
+    mask = _normalized_mask(k, variant, perm_mask)
     count = n
     for need_perm in mask:
         count *= math.factorial(n) if need_perm else n**n
@@ -436,8 +439,7 @@ def enumerate_instances(
     Refuses up front (BudgetExceededError) when the space is larger than
     `budget`, reporting the exact count.
     """
-    n_layers = k - 2 if variant is Variant.MPJ else k - 1
-    mask = _normalized_mask(n_layers, perm_mask)
+    mask = _normalized_mask(k, variant, perm_mask)
     count = instance_count(n, k, variant, mask)
     if count > budget:
         raise BudgetExceededError(count, budget)
@@ -467,17 +469,6 @@ def _sample_layer(rng: random.Random, n: int, need_perm: bool) -> LayerFunction:
     return LayerFunction(n, tuple(rng.randint(1, n) for _ in range(n)))
 
 
-def _sample_with(rng: random.Random, n: int, k: int, variant: Variant,
-                 mask: tuple[bool, ...]) -> Instance:
-    # draw order is fixed: i, then each layer, then (Boolean) the bit layer
-    i = rng.randint(1, n)
-    layers = tuple(_sample_layer(rng, n, need_perm) for need_perm in mask)
-    if variant is Variant.MPJ:
-        bits = BitVector(n, tuple(rng.randint(0, 1) for _ in range(n)))
-        return MpjInstance(n, k, i, layers, bits)
-    return MpjHatInstance(n, k, i, layers, mask)
-
-
 def sample_instance(
     n: int,
     k: int,
@@ -487,9 +478,7 @@ def sample_instance(
     seed: int = 0,
 ) -> Instance:
     """Draw one uniform instance; a pure function of the seed."""
-    n_layers = k - 2 if variant is Variant.MPJ else k - 1
-    mask = _normalized_mask(n_layers, perm_mask)
-    return _sample_with(random.Random(seed), n, k, variant, mask)
+    return next(sample_instances(n, k, variant, perm_mask, count=1, seed=seed))
 
 
 def sample_instances(
@@ -501,12 +490,20 @@ def sample_instances(
     count: int,
     seed: int = 0,
 ) -> Iterator[Instance]:
-    """Deterministic stream of `count` uniform instances from one seeded source."""
-    n_layers = k - 2 if variant is Variant.MPJ else k - 1
-    mask = _normalized_mask(n_layers, perm_mask)
+    """Deterministic stream of `count` uniform instances from one seeded source.
+
+    Each instance draws i, then each layer, then (Boolean) the bit layer.
+    """
+    mask = _normalized_mask(k, variant, perm_mask)
     rng = random.Random(seed)
     for _ in range(count):
-        yield _sample_with(rng, n, k, variant, mask)
+        i = rng.randint(1, n)
+        layers = tuple(_sample_layer(rng, n, need_perm) for need_perm in mask)
+        if variant is Variant.MPJ:
+            bits = BitVector(n, tuple(rng.randint(0, 1) for _ in range(n)))
+            yield MpjInstance(n, k, i, layers, bits)
+        else:
+            yield MpjHatInstance(n, k, i, layers, mask)
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -137,17 +137,11 @@ def build_d_cover(f: LayerFunction, d: int) -> CoverSet:
 def verify_d_cover(
     perms: Iterable[LayerFunction] | CoverSet, f: LayerFunction, d: int
 ) -> tuple[bool, int | None]:
-    """Check the covering condition; returns (ok, first bad point or None)."""
-    members = perms.perms if isinstance(perms, CoverSet) else tuple(perms)
-    fiber_sizes = _fiber_sizes(f, range(1, f.n + 1))
-    for r in range(1, f.n + 1):
-        target = f(r)
-        if any(pi(r) == target for pi in members):
-            continue
-        if fiber_sizes[target] > d:
-            continue
-        return False, r
-    return True, None
+    """Check the covering condition; returns (ok, first bad point or None).
+
+    A d-cover is an (S,d)-cover whose scope S is all of [n].
+    """
+    return verify_sd_cover(perms, f, range(1, f.n + 1), d)
 
 
 @lru_cache(maxsize=16384)

@@ -253,13 +253,10 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
             walk.append(f(walk[-1]))
         # walk[t] enters layer t+2; the level-lvl pointer is walk[lvl-1]
         for lvl in range(1, k - 1):
-            f = middles[lvl - 1]
-            pointer = walk[lvl - 1]
-            target = f(pointer)
-            scope = chain.level(lvl)
-            if sum(1 for r in scope if f.values[r - 1] == target) > d:
+            pointer, target = walk[lvl - 1], walk[lvl]
+            if target in chain.level(lvl + 1):  # heavy: its fiber in S_lvl exceeds d
                 continue
-            cover = _level_cover(f, scope, d, view.n)
+            cover = _level_cover(middles[lvl - 1], chain.level(lvl), d, view.n)
             for ell, pi in enumerate(cover.perms):
                 if pi(pointer) == target:
                     a0 = view.messages[0].slice(

@@ -90,6 +90,15 @@ def _broken_const(n: int, k: int) -> ProtocolHandle:
     )
 
 
+def _cover_d(d: int, n: int) -> int:
+    """Refuse a cover parameter over n before anything is built: at d = n no
+    fiber is heavy, so a larger d only adds openings (and allocates d
+    permutations per cover)."""
+    if d > n:
+        raise ValueError(f"cover parameter d={d} is over n={n}; use 1 <= d <= n")
+    return d
+
+
 def _cover_bound(p: Params) -> float:
     return 2 * (p.k - 2) * p.d * p.n + p.n / p.d ** (p.k - 2)
 
@@ -119,13 +128,13 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         lambda p: index_protocol(p.n), default_k=2, fixed_k=True, bound=lambda p: float(p.n)
     ),
     "mpj3-sublinear": ProtocolSpec(
-        lambda p: mpj3_sublinear(naive_perm_protocol(p.n), p.d),
+        lambda p: mpj3_sublinear(naive_perm_protocol(p.n), _cover_d(p.d, p.n)),
         default_k=3,
         fixed_k=True,
         bound=_cover_bound,
     ),
     "mpjk-sublinear": ProtocolSpec(
-        lambda p: mpjk_sublinear(naive_perm_protocol(p.n), p.d, p.k),
+        lambda p: mpjk_sublinear(naive_perm_protocol(p.n), _cover_d(p.d, p.n), p.k),
         default_k=4,
         bound=_cover_bound,
     ),

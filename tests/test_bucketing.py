@@ -26,6 +26,7 @@ from mpjlab.core import (
     chain_layers,
     enumerate_instances,
     eval_mpj_hat,
+    follow_pointers,
     sample_instances,
 )
 from mpjlab.sim import (
@@ -44,6 +45,24 @@ def layer(*values):
 
 def all_perm_mask(k):
     return (True,) * (k - 1)
+
+
+def ref_bucket_members(t, n, j):
+    """bucket_members before the exact range: clamped bounds, then filtered
+    by bucket_index."""
+    lo = (j - 1) * n // (2**t) + 1
+    hi = j * n // (2**t)
+    return tuple(r for r in range(max(lo, 1), min(hi, n) + 1) if bucket_index(t, n, r) == j)
+
+
+def drop_survivor(msg, n, width, point):
+    """An announcement with `point` taken out of the survivors, sizes kept
+    consistent: its indicator bit cleared and its index removed."""
+    survivors = [r for r in range(1, n + 1) if msg.bits[r - 1] == 1]
+    rank = survivors.index(point)
+    indicator = tuple(0 if r == point else b for r, b in enumerate(msg.bits[:n], start=1))
+    indices = msg.bits[n:]
+    return Message(indicator + indices[: rank * width] + indices[(rank + 1) * width :])
 
 
 def surviving_sets(inst, plan):
@@ -107,6 +126,12 @@ class TestBuckets:
                     assert all(bucket_index(t, n, r) == b for r in members)
                     seen.extend(members)
                 assert seen == list(range(1, n + 1))  # a partition, in order
+
+    def test_members_match_index_filter(self):
+        for t in range(0, 7):
+            for n in range(1, 71):
+                for j in range(1, 2**t + 1):
+                    assert bucket_members(t, n, j) == ref_bucket_members(t, n, j)
 
     def test_size_law(self):
         for n in range(1, 65):
@@ -298,3 +323,32 @@ class TestTamperedBlackboards:
         )
         with pytest.raises(ProtocolInvariantError, match="membership indicator"):
             self.proto.players[2](view)
+
+    @pytest.mark.parametrize("tampered", [2, 3])
+    def test_last_player_rechecks_every_announcement(self, tampered):
+        # k=5: the last player reads announcements 2 and 3 on the way to the
+        # terminal one, and each must still hold the walk point
+        n, k = 16, 5
+        proto = bucketing_protocol(n, k)
+        plan = bucket_width_plan(n, k)
+        inst = next(sample_instances(n, k, Variant.MPJ_HAT, all_perm_mask(k), count=1, seed=4))
+        messages = list(run(proto, inst).messages[: k - 1])
+        walk_point = follow_pointers(inst.i, inst.layers[: tampered - 1])
+        messages[tampered - 1] = drop_survivor(
+            messages[tampered - 1], n, plan.width(tampered), walk_point
+        )
+        view = make_view(inst, k, ViewKind.COLLAPSING, tuple(messages))
+        missing = "walk point missing from the surviving set"
+        with pytest.raises(ProtocolInvariantError, match=missing):
+            proto.players[k - 1](view)
+
+    def test_last_player_checks_a_terminal_first_announcement(self):
+        # doubling at n=2 ends with player 1, so the last player reads the
+        # first announcement directly
+        proto = bucketing_protocol_doubling(2, 3)
+        assert doubling_plan(2, 3).terminal == 1
+        inst = MpjHatInstance(2, 3, 1, (layer(2, 1), layer(1, 2)), all_perm_mask(3))
+        assert run(proto, inst).messages[0] == Message.from01("10")
+        view = make_view(inst, 3, ViewKind.COLLAPSING, (Message.from01("1"), Message()))
+        with pytest.raises(ProtocolInvariantError, match="wrong size"):
+            proto.players[2](view)

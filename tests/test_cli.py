@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mpjlab.cli import SEED_ENV_VAR, main
-from mpjlab.core import Instance, Variant, instance_from_dict
+from mpjlab.core import Instance, LayerFunction, Variant, instance_from_dict, sample_instances
+from mpjlab.covers import build_d_cover
+from mpjlab.jump import mpjk_sublinear, naive_perm_protocol
 from mpjlab.registry import (
     BASE_NAMES,
     BuiltProtocol,
@@ -17,9 +20,15 @@ from mpjlab.registry import (
     build_protocol,
     cost_bound,
 )
-from mpjlab.sim import Message, ProtocolHandle, ProtocolInvariantError, ViewKind
+from mpjlab.sim import Message, ProtocolHandle, ProtocolInvariantError, ViewKind, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    for line in block.splitlines()
+    if line.startswith("mpjlab ")
+]
 
 
 def run_cli(capsys, *argv):
@@ -420,6 +429,56 @@ class TestCover:
         assert code == 2 and "error" in err
 
 
+class TestCoverParameterRange:
+    """The cover protocols and `cover` take 1 <= d <= n; a larger d is
+    refused with one error line before any cover or protocol is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cover", "--f", "1,1,2", "--d", "100000000"),
+            ("cover", "--f", "1,1,2", "--d", "4", "--s", "1,2"),
+            ("run", "--protocol", "mpjk-sublinear", "--n", "4", "--k", "4", "--d", "100000"),
+            ("run", "--protocol", "mpj3-sublinear", "--n", "3", "--d", "4"),
+            ("verify", "--protocol", "mpj3-sublinear", "--n", "3", "--d", "4", "--samples", "5"),
+            ("bench", "--protocol", "mpjk-sublinear", "--n", "2,4", "--k", "4", "--d", "3",
+             "--samples", "5"),
+        ],
+        ids=" ".join,
+    )
+    def test_d_over_n_is_refused_before_building(self, capsys, monkeypatch, argv):
+        def built(*args, **kwargs):
+            raise AssertionError("built a cover or protocol for d > n")
+
+        for name in ("cli.build_d_cover", "cli.build_sd_cover",
+                     "registry.mpj3_sublinear", "registry.mpjk_sublinear"):
+            monkeypatch.setattr(f"mpjlab.{name}", built)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cover parameter d=") and err.count("\n") == 1
+        assert "use 1 <= d <= n" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cover", "--f", "1,1,2", "--d", "3"),
+            ("cover", "--f", "1,1,2", "--d", "3", "--s", "1,2"),
+            ("run", "--protocol", "mpjk-sublinear", "--n", "3", "--k", "4", "--d", "3"),
+            ("verify", "--protocol", "mpj3-sublinear", "--n", "3", "--d", "3", "--samples", "20"),
+        ],
+        ids=" ".join,
+    )
+    def test_d_equal_to_n_is_accepted(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+    def test_library_takes_any_d(self):
+        f = LayerFunction(3, (1, 1, 2))
+        assert len(build_d_cover(f, 5).perms) == 5
+        proto = mpjk_sublinear(naive_perm_protocol(3), 5, 4)
+        assert verify(proto, sample_instances(3, 4, Variant.MPJ, count=20, seed=1)).ok
+
+
 class TestAttack:
     def test_fooling_succeeds_on_weak_target(self, capsys):
         code, out, _ = run_cli(
@@ -575,3 +634,15 @@ class TestCrashingPlayers:
         assert code == 1 and out == ""
         assert err == "error: no answer for start 1\n"
 
+
+class TestReadmeExamples:
+    def test_every_subcommand_has_an_example(self):
+        assert {argv[0] for argv in README_COMMANDS} == {
+            "run", "verify", "bench", "emit-plot-data", "cover", "attack"
+        }
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_example_exits_zero(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err

@@ -263,6 +263,29 @@ class TestSampling:
         b = list(sample_instances(6, 3, Variant.MPJ, count=20, seed=5))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "variant, mask",
+        [(Variant.MPJ, None), (Variant.MPJ_HAT, None), (Variant.MPJ_HAT, (True,) * 3)],
+    )
+    def test_one_draw_is_the_first_of_the_stream(self, variant, mask):
+        for seed in range(20):
+            stream = sample_instances(5, 4, variant, mask, count=3, seed=seed)
+            assert sample_instance(5, 4, variant, mask, seed=seed) == next(stream)
+
+    def test_mask_length_follows_the_variant(self):
+        # k-2 middle layers for mpj, k-1 layers for mpjhat
+        for call in (
+            lambda mask: sample_instance(5, 4, Variant.MPJ, mask),
+            lambda mask: list(enumerate_instances(2, 4, Variant.MPJ, mask)),
+            lambda mask: instance_count(5, 4, Variant.MPJ, mask),
+        ):
+            call((False, False))
+            with pytest.raises(ValueError, match="must have 2 entries, got 3"):
+                call((False,) * 3)
+        sample_instance(5, 4, Variant.MPJ_HAT, (False,) * 3)
+        with pytest.raises(ValueError, match="must have 3 entries, got 2"):
+            sample_instance(5, 4, Variant.MPJ_HAT, (False,) * 2)
+
     def test_mask_produces_permutations(self):
         inst = sample_instance(16, 4, Variant.MPJ_HAT, (True,) * 3, seed=9)
         assert all(f.is_permutation for f in inst.layers)

@@ -6,6 +6,7 @@ is the only heavy point, so the first message is x followed by x_1.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,12 @@ class TestSurvivingChain:
             assert len(chain.level(j + 1)) * (d + 1) <= len(chain.level(j))
 
 
+def scoped_recount(f, scope, target, d):
+    """mpjk's last-player lightness test before it read the chain: the
+    target is heavy when more than d scope points map to it."""
+    return sum(1 for r in scope if f.values[r - 1] == target) > d
+
+
 class TestKPlayerSublinear:
     def test_exhaustive_four_players(self):
         proto = mpjk_sublinear(naive_perm_protocol(2), 1, 4)
@@ -244,6 +251,25 @@ class TestKPlayerSublinear:
         report = verify(proto, insts)
         assert report.ok
         assert report.per_player_max_bits[0] == 2 * n * n  # (k-2)*d*m, no raw part
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_heavy_test_is_chain_membership(self, d):
+        # the last player's test `target in chain.level(lvl + 1)` against the
+        # scoped recount, for every level and every target
+        rng = random.Random(40 + d)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            skew = rng.randint(1, n)
+            middles = tuple(
+                LayerFunction(n, tuple(rng.randint(1, skew) for _ in range(n)))
+                for _ in range(rng.randint(1, 4))
+            )
+            chain = build_sj_chain(middles, d)
+            for lvl, f in enumerate(middles, start=1):
+                for target in range(1, n + 1):
+                    assert (target in chain.level(lvl + 1)) == scoped_recount(
+                        f, chain.level(lvl), target, d
+                    )
 
     def test_rejects_bad_arguments(self):
         P = naive_perm_protocol(2)
