@@ -128,14 +128,14 @@ def find_crossed_cell(
         raise BoundRefusedError(
             f"message bound {t_bound} exceeds the counting limit {limit:.3f} at n={n}"
         )
-    cells: dict[tuple[int, ...], list[BitVector]] = {}
+    cells: dict[Message, list[BitVector]] = {}
     for y in _iter_half_weight(n):
         msg = message_fn(y)
         if len(msg) > t_bound:
             raise BoundRefusedError(
                 f"message of {len(msg)} bits exceeds the declared bound {t_bound}"
             )
-        cell = cells.setdefault(msg.bits, [])
+        cell = cells.setdefault(msg, [])
         for earlier in cell:
             if is_crossing(earlier, y):
                 return msg, CrossingPair(earlier, y)

@@ -140,7 +140,8 @@ def _parse_survivors(msg: Message, n: int, width: int) -> tuple[tuple[int, ...],
     """Split an announcement into (ascending survivor points, index area)."""
     if len(msg) < n:
         raise ProtocolInvariantError("announcement shorter than its membership indicator")
-    survivors = tuple(r for r in range(1, n + 1) if msg.bits[r - 1] == 1)
+    indicator = msg.value >> (len(msg) - n)  # bit n - r flags point r
+    survivors = tuple(r for r in range(1, n + 1) if indicator >> (n - r) & 1)
     indices = msg.slice(n, len(msg))
     if len(indices) != len(survivors) * width:
         raise ProtocolInvariantError("announcement index area has the wrong size")
@@ -180,8 +181,17 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
     n, k = plan.n, plan.k
 
     def index_area(g: LayerFunction, points: Iterable[int], t: int) -> Message:
-        """The t-bit bucket index of g(r) for each point r, in order."""
-        return Message.concat(Message.from_uint(bucket_index(t, n, g(r)) - 1, t) for r in points)
+        """The t-bit bucket index of g(r) for each point r, in order, packed
+        into one int with the first point's index highest."""
+        value = count = 0
+        limit = 1 << t
+        for r in points:
+            index = bucket_index(t, n, g(r)) - 1
+            if not 0 <= index < limit:
+                raise ValueError(f"{index} does not fit in {t} bits")
+            value = (value << t) | index
+            count += 1
+        return Message.from_uint(value, count * t)
 
     def speak_first(view: PlayerView) -> Message:
         # view.suffix is the collapsed suffix of layer 1
@@ -196,11 +206,8 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
             members = set(bucket_members(plan.width(j - 1), n, bucket))
             g = view.suffix
             survivors = tuple(s for s in range(1, n + 1) if g(s) in members)
-            survivor_set = set(survivors)
-            indicator = Message.from_bits(
-                1 if s in survivor_set else 0 for s in range(1, n + 1)
-            )
-            return indicator + index_area(g, survivors, plan.width(j))
+            indicator = sum(1 << (n - s) for s in survivors)
+            return Message.from_uint(indicator, n) + index_area(g, survivors, plan.width(j))
 
         return speak_buckets
 

@@ -18,11 +18,11 @@ import sys
 from typing import Iterable, Sequence
 
 from .adversary import BoundRefusedError, build_fooling_inputs, verify_fooling
+from .bucketing import _parse_survivors
 from .core import (
     BudgetExceededError,
     Instance,
     LayerFunction,
-    Variant,
     enumerate_instances,
     eval_instance,
     instance_from_dict,
@@ -110,11 +110,10 @@ def _instances(built: BuiltProtocol, args: argparse.Namespace) -> Iterable[Insta
 
 def _bucket_debug(built: BuiltProtocol, transcript) -> dict:
     plan = built.bucket_plan
-    n = built.handle.n
-    survivors = {}
-    for j in range(2, plan.terminal + 1):
-        msg = transcript.messages[j - 1]
-        survivors[str(j)] = [r for r in range(1, n + 1) if msg.bits[r - 1] == 1]
+    survivors = {
+        str(j): list(_parse_survivors(transcript.messages[j - 1], plan.n, plan.width(j))[0])
+        for j in range(2, plan.terminal + 1)
+    }
     return {
         "widths": list(plan.widths[: built.handle.k - 1]),
         "terminal": plan.terminal,

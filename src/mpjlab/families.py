@@ -20,8 +20,8 @@ from .sim import Message, PlayerView, ProtocolHandle, ViewKind
 
 def _final_bit(view: PlayerView) -> Message:
     # parity of everything on the blackboard: deterministic and view-pure
-    total = sum(sum(m.bits) for m in view.messages)
-    return Message((total & 1,))
+    total = sum(m.value.bit_count() for m in view.messages)
+    return Message.from_uint(total & 1, 1)
 
 
 def _handle(

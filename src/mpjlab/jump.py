@@ -24,12 +24,9 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     BitVector,
     LayerFunction,
-    MpjInstance,
     Variant,
     bit_suffixes,
-    eval_mpj,
     follow_pointers,
-    sample_instance,
 )
 from .covers import CoverSet, _fiber_sizes, build_d_cover, build_sd_cover
 from .sim import (
@@ -65,10 +62,10 @@ def naive_perm_protocol(n: int) -> PermProtocol3:
         return Message(x.bits)
 
     def beta(i: int, x: BitVector, a: Message) -> Message:
-        return Message((0,) * n)
+        return Message.from_uint(0, n)
 
     def gamma(i: int, pi: LayerFunction, a: Message, b: Message) -> int:
-        return a.bits[pi(i) - 1]
+        return a.bit(pi(i) - 1)
 
     return PermProtocol3(n, alpha, beta, gamma)
 
@@ -120,7 +117,7 @@ def index_protocol(n: int) -> ProtocolHandle:
         return Message(view.final_bits.bits)
 
     def speak_answer(view: PlayerView) -> Message:
-        return Message((view.messages[0].bits[view.start - 1],))
+        return Message.from_uint(view.messages[0].bit(view.start - 1), 1)
 
     return ProtocolHandle(
         name="index",
@@ -263,14 +260,14 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
                         ((lvl - 1) * d + ell) * m, ((lvl - 1) * d + ell + 1) * m
                     )
                     b0 = view.messages[lvl].slice(ell * m, (ell + 1) * m)
-                    return Message((P.gamma(pointer, pi, a0, b0),))
+                    return Message.from_uint(P.gamma(pointer, pi, a0, b0), 1)
             raise ProtocolInvariantError("cover misses a surviving light point")
         last = sorted(chain.level(k - 1))
         end = walk[-1]
         if end not in chain.level(k - 1):
             raise ProtocolInvariantError("walk point escaped the surviving chain")
-        bit = view.messages[0].bits[(k - 2) * d * m + last.index(end)]
-        return Message((bit,))
+        bit = view.messages[0].bit((k - 2) * d * m + last.index(end))
+        return Message.from_uint(bit, 1)
 
     players = (
         speak_openings,

@@ -99,6 +99,26 @@ def _cover_d(d: int, n: int) -> int:
     return d
 
 
+MAX_PLAYERS = 1024
+"""The largest player count the registry builds.
+
+The paper's protocols run out of work long before this: bucketing reaches
+singleton buckets by k = log* n + 2, and the cover protocols' raw part
+n/d^(k-2) is under one bit once k - 2 > log2 n, so at every width that can
+be simulated the k that matter are a few dozen at most. A run projects k
+views whose layer slices together hold O(k^2) references, which at this cap
+is about a million per run; an unbounded k instead allocates per player
+until memory runs out, and the bucket plan alone takes O(k^2) steps.
+"""
+
+
+def _player_count(k: int) -> int:
+    """Refuse a player count over MAX_PLAYERS before anything is built."""
+    if k > MAX_PLAYERS:
+        raise ValueError(f"player count k={k} is over {MAX_PLAYERS}; use k <= {MAX_PLAYERS}")
+    return k
+
+
 def _cover_bound(p: Params) -> float:
     return 2 * (p.k - 2) * p.d * p.n + p.n / p.d ** (p.k - 2)
 
@@ -167,7 +187,7 @@ def _lookup(
     spec = PROTOCOLS[key]
     if spec.fixed_k and k not in (None, spec.default_k):
         raise ValueError(f"{name} is a {spec.default_k}-player protocol")
-    kk = spec.default_k if k is None or spec.fixed_k else k
+    kk = spec.default_k if k is None or spec.fixed_k else _player_count(k)
     params = Params(n, kk, 1 if d is None else d, int(m[2]) if m else None, seed)
     return spec, params
 

@@ -21,7 +21,8 @@ without the final output message (upper-bound formulas exclude the output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -52,36 +53,91 @@ class ProtocolInvariantError(RuntimeError):
     """A protocol's internal invariant failed while composing its message."""
 
 
-@dataclass(frozen=True)
+_BITS_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
+_01_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_setattr = object.__setattr__
+_new = object.__new__
+
+
 class Message:
-    """An immutable finite bit sequence (possibly empty)."""
+    """An immutable finite bit sequence (possibly empty), held as `(value, length)`.
 
-    bits: tuple[int, ...] = ()
+    The bits are one big-endian int: the first bit is the highest of
+    `length` bits, so `from01("0101")` has value 5 and length 4, and
+    `from01("0")` differs from `from01("00")`. Every codec operation works
+    on that int; `bits` derives the tuple of 0/1 ints on each read, for
+    readers that need one, and `bit(t)` reads one bit.
+    """
 
-    def __post_init__(self):
-        if not _are_bits(self.bits):
+    __slots__ = ("value", "length")
+
+    def __init__(self, bits: Iterable[int] = ()):
+        if type(bits) is not tuple:
+            bits = tuple(bits)
+        if not _are_bits(bits):
             raise ValueError("message bits must be 0 or 1")
+        try:
+            value = int(bytes(bits).translate(_BITS_TO_01), 2) if bits else 0
+        except (TypeError, ValueError):  # e.g. 1.0 or an unhashable zero
+            value = 0
+            for b in bits:
+                value = (value << 1) | (b == 1)
+        _setattr(self, "value", value)
+        _setattr(self, "length", len(bits))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _packed, (self.value, self.length)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.length))
+
+    def __repr__(self) -> str:
+        return f"Message.from01({self.to01()!r})"
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __add__(self, other: "Message") -> "Message":
-        return Message(self.bits + other.bits)
+        return _packed((self.value << other.length) | other.value, self.length + other.length)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.to01().encode().translate(_01_TO_BITS))
+
+    def bit(self, t: int) -> int:
+        """Bit t, counted from 0 at the first bit."""
+        if not 0 <= t < self.length:
+            raise IndexError(f"bit {t} outside message of {self.length} bits")
+        return (self.value >> (self.length - 1 - t)) & 1
 
     def slice(self, start: int, stop: int) -> "Message":
-        if not 0 <= start <= stop <= len(self.bits):
-            raise ValueError(f"slice [{start}, {stop}) outside message of {len(self.bits)} bits")
-        return Message(self.bits[start:stop])
+        if not 0 <= start <= stop <= self.length:
+            raise ValueError(f"slice [{start}, {stop}) outside message of {self.length} bits")
+        width = stop - start
+        return _packed((self.value >> (self.length - stop)) & ((1 << width) - 1), width)
 
     def chunks(self, width: int) -> tuple["Message", ...]:
-        if width < 0 or (width == 0 and self.bits):
+        length = self.length
+        if width < 0 or (width == 0 and length):
             raise ValueError("bad chunk width")
         if width == 0:
             return ()
-        if len(self.bits) % width:
+        if length % width:
             raise ValueError("message length is not a multiple of the chunk width")
+        value, mask = self.value, (1 << width) - 1
         return tuple(
-            Message(self.bits[t : t + width]) for t in range(0, len(self.bits), width)
+            _packed((value >> shift) & mask, width) for shift in range(length - width, -1, -width)
         )
 
     @classmethod
@@ -92,29 +148,38 @@ class Message:
     def from01(cls, text: str) -> "Message":
         if any(c not in "01" for c in text):
             raise ValueError("message string must be over 0/1")
-        return cls(tuple(int(c) for c in text))
+        return _packed(int(text, 2) if text else 0, len(text))
 
     def to01(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bin(self.value | (1 << self.length))[3:]
 
     @classmethod
     def from_uint(cls, value: int, width: int) -> "Message":
         if width < 0 or not 0 <= value < (1 << width):
             raise ValueError(f"{value} does not fit in {width} bits")
-        return cls(tuple((value >> (width - 1 - t)) & 1 for t in range(width)))
+        if type(value) is not int:  # bools and int enums pack as ints; floats are refused
+            value = operator.index(value)
+        return _packed(value, width)
 
     def to_uint(self) -> int:
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
+        return self.value
 
     @staticmethod
     def concat(parts: Iterable["Message"]) -> "Message":
-        bits: list[int] = []
+        value = length = 0
         for p in parts:
-            bits.extend(p.bits)
-        return Message(tuple(bits))
+            value = (value << p.length) | p.value
+            length += p.length
+        return _packed(value, length)
+
+
+def _packed(value: int, length: int) -> Message:
+    """A message from its packed form, for callers that have checked
+    0 <= value < 2**length themselves; public entries check and call this."""
+    msg = _new(Message)
+    _setattr(msg, "value", value)
+    _setattr(msg, "length", length)
+    return msg
 
 
 def pointer_width(n: int) -> int:
@@ -271,7 +336,7 @@ def _decode_output(last: Message, n: int, variant: Variant) -> int:
             raise ProtocolContractError(
                 f"Boolean output message must be 1 bit, got {len(last)}"
             )
-        return last.bits[0]
+        return last.bit(0)
     width = pointer_width(n)
     if len(last) != width:
         raise ProtocolContractError(

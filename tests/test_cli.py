@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism, refusals."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 from mpjlab.cli import SEED_ENV_VAR, main
 from mpjlab.core import Instance, LayerFunction, Variant, instance_from_dict, sample_instances
+from mpjlab import registry
 from mpjlab.covers import build_d_cover
+from mpjlab.families import constant_protocol
 from mpjlab.jump import mpjk_sublinear, naive_perm_protocol
 from mpjlab.registry import (
     BASE_NAMES,
+    MAX_PLAYERS,
     BuiltProtocol,
     UnknownProtocolError,
     build_protocol,
@@ -477,6 +481,64 @@ class TestCoverParameterRange:
         assert len(build_d_cover(f, 5).perms) == 5
         proto = mpjk_sublinear(naive_perm_protocol(3), 5, 4)
         assert verify(proto, sample_instances(3, 4, Variant.MPJ, count=20, seed=1)).ok
+
+
+class TestPlayerCountRange:
+    """Every registry protocol takes k <= MAX_PLAYERS; a larger k is refused
+    with one error line before any protocol, plan or instance is built."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built a protocol, plan or instance for k over the cap")
+
+        for name, spec in registry.PROTOCOLS.items():
+            monkeypatch.setitem(
+                registry.PROTOCOLS, name,
+                dataclasses.replace(spec, build=built, bound=built, bucket_plan=built),
+            )
+        for name in ("sample_instance", "sample_instances", "enumerate_instances",
+                     "build_fooling_inputs"):
+            monkeypatch.setattr(f"mpjlab.cli.{name}", built)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--protocol", "constant", "--n", "4", "--k", "100000000"),
+            ("run", "--protocol", "truncate1", "--n", "4", "--k", str(MAX_PLAYERS + 1)),
+            ("verify", "--protocol", "bucketing", "--n", "4", "--k", "100000000",
+             "--samples", "1"),
+            ("verify", "--protocol", "mpjk-sublinear", "--n", "4", "--k", "100000000",
+             "--exhaustive"),
+            ("bench", "--protocol", "mpjk-sublinear", "--n", "2,4", "--k",
+             str(MAX_PLAYERS + 1), "--samples", "5"),
+            ("emit-plot-data", "--protocol", "bucketing-doubling", "--n", "4", "--k",
+             str(MAX_PLAYERS + 1), "--samples", "5"),
+            ("attack", "--protocol", "hash2", "--n", "8", "--k", "100000000"),
+        ],
+        ids=" ".join,
+    )
+    def test_k_over_the_cap_is_refused_before_building(self, capsys, nothing_built, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: player count k=") and err.count("\n") == 1
+        assert f"use k <= {MAX_PLAYERS}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--protocol", "constant", "--n", "4", "--k", str(MAX_PLAYERS)),
+            ("verify", "--protocol", "bucketing", "--n", "4", "--k", str(MAX_PLAYERS),
+             "--samples", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_k_at_the_cap_is_accepted(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+    def test_library_takes_any_k(self):
+        assert constant_protocol(4, MAX_PLAYERS + 1).k == MAX_PLAYERS + 1
 
 
 class TestAttack:
