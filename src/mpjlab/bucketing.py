@@ -214,8 +214,11 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
     def speak_answer(view: PlayerView) -> Message:
         # every announcement is read as its successor reads it, so each walk
         # point must survive into the set that framed it
+        walk_point = view.start  # enters layer 2
         for j in range(2, plan.terminal + 2):
-            value = _bucket_of_walk(view, plan, j, _walk_of(view, j))
+            if j > 2:
+                walk_point = view.prefix_layers[j - 3](walk_point)  # enters layer j
+            value = _bucket_of_walk(view, plan, j, walk_point)
         members = bucket_members(plan.width(plan.terminal), n, value)
         if len(members) != 1:
             raise ProtocolInvariantError("terminal bucket is not a singleton")

@@ -9,17 +9,18 @@ permutation-only subprotocol substitute for a function layer everywhere
 except the few heavy points, whose answers can be shipped directly.
 
 The construction pairs each fiber of f with a same-size block of [n]
-containing the fiber's output value, then emits d "rotations": the
-ell-th permutation maps the fiber's j-th point to the block's
-(j - ell)-th point, wrapping within the block. Distinct fibers map into
-disjoint blocks, so each rotation is a permutation of [n]. Rotating ell
-through 1..d moves every fiber point across min(d, block size) distinct
-targets, one of which is the fiber's output value unless the fiber is
-larger than d.
+containing the fiber's output value. Two maps of [n] come out of that
+pairing: `base` sends the j-th point of each fiber to the j-th point of
+its block, and `step` sends each block point to the point before it in
+its block, wrapping around. Distinct fibers map into disjoint blocks, so
+both are permutations, and the ell-th cover member is step^ell applied
+after base. Over ell = 1..d every fiber point moves across min(d, block
+size) distinct targets, one of which is the fiber's output value unless
+the fiber is larger than d.
 
 Everything is deterministic: ranges ascend, blocks are filled with the
 smallest unused non-range points, and scoped fibers list in-scope points
-first. Both builders are memoized (all inputs are hashable and tiny).
+first. Construction is memoized (all inputs are hashable and tiny).
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import LayerFunction
-
-
-def mod_to_range(value: int, modulus: int) -> int:
-    """Wrap an integer into {1, ..., modulus}; 0 and negatives wrap from the top."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return (value - 1) % modulus + 1
 
 
 @dataclass(frozen=True)
@@ -52,21 +46,41 @@ class FiberPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
+def _fibers_and_pads(f: LayerFunction) -> list[tuple[int, list[int], list[int]]]:
+    """One grouping pass: (value, its ascending fiber, the points padding its
+    block) for each range value, ascending.
+
+    A block is its output value plus the smallest unused non-range points,
+    handed out in ascending value order; pads come out ascending.
+    """
+    fibers: list[list[int] | None] = [None] * (f.n + 1)  # indexed by value
+    for r, s in enumerate(f.values, start=1):
+        fib = fibers[s]
+        if fib is None:
+            fibers[s] = [r]
+        else:
+            fib.append(r)
+    spare = [r for r in range(1, f.n + 1) if fibers[r] is None]
+    out = []
+    used = 0
+    for s, fib in enumerate(fibers):
+        if fib is not None:
+            pad = len(fib) - 1
+            out.append((s, fib, spare[used : used + pad]))
+            used += pad
+    return out
+
+
 def build_fiber_partition(f: LayerFunction) -> FiberPartition:
     """Pair each fiber with a block: seeded by its output value, padded with
     the smallest unused non-range points, processed in ascending value order."""
-    groups: dict[int, list[int]] = {}
-    for r, s in enumerate(f.values, start=1):
-        groups.setdefault(s, []).append(r)
-    range_values = tuple(sorted(groups))
-    fibers = tuple(tuple(groups[s]) for s in range_values)
-    spare = [r for r in range(1, f.n + 1) if r not in groups]
-    spare.reverse()  # pop() yields the smallest remaining
-    blocks = []
-    for s, fib in zip(range_values, fibers):
-        block = [s] + [spare.pop() for _ in range(len(fib) - 1)]
-        blocks.append(tuple(sorted(block)))
-    return FiberPartition(f.n, range_values, fibers, tuple(blocks))
+    parts = _fibers_and_pads(f)
+    return FiberPartition(
+        f.n,
+        tuple(s for s, _, _ in parts),
+        tuple(tuple(fib) for _, fib, _ in parts),
+        tuple(tuple(sorted(pad + [s])) for s, _, pad in parts),
+    )
 
 
 def _fiber_sizes(f: LayerFunction, points: Iterable[int]) -> list[int]:
@@ -93,45 +107,63 @@ class CoverSet:
             raise ValueError("cover parameter d must be at least 1")
         if len(self.perms) > self.d:
             raise ValueError("cover holds more than d permutations")
+        _check_widths(self.perms, self.target)
         for pi in self.perms:
             if not pi.is_permutation:
                 raise ValueError("cover members must be permutations")
 
 
-def _rotations(
-    ordered_fibers: Iterable[tuple[int, ...]],
-    ordered_blocks: Iterable[tuple[int, ...]],
-    n: int,
-    d: int,
-) -> tuple[LayerFunction, ...]:
-    pairs = list(zip(ordered_fibers, ordered_blocks))
+def _check_widths(members: Iterable[LayerFunction], target: LayerFunction) -> None:
+    for pi in members:
+        if pi.n != target.n:
+            raise ValueError(f"cover member has width {pi.n}, its target has width {target.n}")
+
+
+@lru_cache(maxsize=32768)
+def _cover(f: LayerFunction, scope: frozenset[int] | None, d: int) -> CoverSet:
+    """Members step^ell . base for ell = 1..d.
+
+    With scope None, fibers and blocks both ascend. With a scope, fibers
+    list their in-scope points first and each block puts its output value
+    last, so that member ell sends the ell-th fiber point to that value.
+    """
+    n = f.n
+    # a one-point fiber's block is its own value: base keeps f there and
+    # step fixes it, so only larger fibers overwrite these starting values
+    base = list(f.values)
+    step = list(range(1, n + 1))
+    for s, fib, pad in _fibers_and_pads(f):
+        if not pad:
+            continue
+        if scope is None:
+            block = sorted(pad + [s])
+        else:
+            if not scope.isdisjoint(fib):
+                fib = [r for r in fib if r in scope] + [r for r in fib if r not in scope]
+            block = pad + [s]
+        for r, b in zip(fib, block):
+            base[r - 1] = b
+        prev = block[-1]
+        for b in block:
+            step[b - 1] = prev
+            prev = b
     perms = []
-    for ell in range(1, d + 1):
-        vals = [0] * n
-        for fib, block in pairs:
-            width = len(block)
-            for j, point in enumerate(fib, start=1):
-                vals[point - 1] = block[mod_to_range(j - ell, width) - 1]
-        perms.append(LayerFunction(n, tuple(vals)))
-    return tuple(perms)
-
-
-@lru_cache(maxsize=16384)
-def _d_cover_cached(f: LayerFunction, d: int) -> CoverSet:
-    fp = build_fiber_partition(f)
-    perms = _rotations(fp.fibers, fp.blocks, f.n, d)
-    return CoverSet(perms, d, f, None)
+    member = base
+    for _ in range(d):
+        member = tuple([step[v - 1] for v in member])
+        perms.append(LayerFunction(n, member))
+    return CoverSet(tuple(perms), d, f, scope)
 
 
 def build_d_cover(f: LayerFunction, d: int) -> CoverSet:
     """Exactly d permutations that d-cover f (members may repeat).
 
-    Fiber points and block points are both taken in ascending order before
-    rotating, which fixes the construction uniquely.
+    Fiber points and block points are both taken in ascending order, which
+    fixes the construction uniquely.
     """
     if d < 1:
         raise ValueError("cover parameter d must be at least 1")
-    return _d_cover_cached(f, d)
+    return _cover(f, None, d)
 
 
 def verify_d_cover(
@@ -144,27 +176,12 @@ def verify_d_cover(
     return verify_sd_cover(perms, f, range(1, f.n + 1), d)
 
 
-@lru_cache(maxsize=16384)
-def _sd_cover_cached(f: LayerFunction, scope: frozenset[int], d: int) -> CoverSet:
-    fp = build_fiber_partition(f)
-    ordered_fibers = []
-    ordered_blocks = []
-    for s, fib, block in zip(fp.range_values, fp.fibers, fp.blocks):
-        inside = tuple(r for r in fib if r in scope)
-        outside = tuple(r for r in fib if r not in scope)
-        ordered_fibers.append(inside + outside)
-        # the output value goes last so that rotation ell = j lands on it
-        ordered_blocks.append(tuple(b for b in block if b != s) + (s,))
-    perms = _rotations(ordered_fibers, ordered_blocks, f.n, d)
-    return CoverSet(perms, d, f, scope)
-
-
 def build_sd_cover(f: LayerFunction, scope: Iterable[int], d: int) -> CoverSet:
     """Exactly d permutations covering f on the scope set only.
 
     In-scope fiber points are listed first (ascending), the fiber's output
-    value is placed last in its block, and then the same rotation rule
-    applies. An empty scope is fine: the covering condition is vacuous.
+    value is placed last in its block, and then the same base and step
+    rule applies. An empty scope is fine: the covering condition is vacuous.
     """
     if d < 1:
         raise ValueError("cover parameter d must be at least 1")
@@ -172,7 +189,7 @@ def build_sd_cover(f: LayerFunction, scope: Iterable[int], d: int) -> CoverSet:
     for r in scope_set:
         if not 1 <= r <= f.n:
             raise ValueError(f"scope point {r} outside [1, {f.n}]")
-    return _sd_cover_cached(f, scope_set, d)
+    return _cover(f, scope_set, d)
 
 
 def verify_sd_cover(
@@ -181,8 +198,12 @@ def verify_sd_cover(
     scope: Iterable[int],
     d: int,
 ) -> tuple[bool, int | None]:
-    """Check the scoped covering condition; returns (ok, first bad point or None)."""
+    """Check the scoped covering condition; returns (ok, first bad point or None).
+
+    A member whose width differs from f's is refused with ValueError.
+    """
     members = perms.perms if isinstance(perms, CoverSet) else tuple(perms)
+    _check_widths(members, f)
     scope_set = frozenset(scope)
     # scope points outside [n] lie in no fiber; f(r) below rejects them
     fiber_sizes = _fiber_sizes(f, (r for r in range(1, f.n + 1) if r in scope_set))

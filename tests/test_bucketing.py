@@ -324,11 +324,11 @@ class TestTamperedBlackboards:
         with pytest.raises(ProtocolInvariantError, match="membership indicator"):
             self.proto.players[2](view)
 
-    @pytest.mark.parametrize("tampered", [2, 3])
-    def test_last_player_rechecks_every_announcement(self, tampered):
-        # k=5: the last player reads announcements 2 and 3 on the way to the
-        # terminal one, and each must still hold the walk point
-        n, k = 16, 5
+    @pytest.mark.parametrize("k, tampered", [(5, 2), (5, 3), (12, 2), (12, 7), (12, 11)])
+    def test_last_player_rechecks_every_announcement(self, k, tampered):
+        # the last player reads every announcement 2 .. k-1, walking one
+        # more layer per announcement, and each must still hold the walk point
+        n = 16
         proto = bucketing_protocol(n, k)
         plan = bucket_width_plan(n, k)
         inst = next(sample_instances(n, k, Variant.MPJ_HAT, all_perm_mask(k), count=1, seed=4))

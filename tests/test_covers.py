@@ -17,7 +17,6 @@ from mpjlab.covers import (
     build_d_cover,
     build_fiber_partition,
     build_sd_cover,
-    mod_to_range,
     verify_d_cover,
     verify_sd_cover,
 )
@@ -37,26 +36,6 @@ layers_st = st.integers(2, 6).flatmap(
         lambda v: LayerFunction(n, tuple(v))
     )
 )
-
-
-class TestModToRange:
-    def test_frozen_table(self):
-        assert mod_to_range(1, 3) == 1
-        assert mod_to_range(3, 3) == 3
-        assert mod_to_range(4, 3) == 1
-        assert mod_to_range(0, 3) == 3
-        assert mod_to_range(-1, 3) == 2
-        assert mod_to_range(0, 1) == 1
-
-    def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            mod_to_range(1, 0)
-
-    @given(st.integers(-50, 50), st.integers(1, 12))
-    def test_lands_in_range_and_keeps_residue(self, value, modulus):
-        wrapped = mod_to_range(value, modulus)
-        assert 1 <= wrapped <= modulus
-        assert (wrapped - value) % modulus == 0
 
 
 class TestFiberPartition:
@@ -231,3 +210,21 @@ class TestCoverSetValidation:
     def test_accepts_fewer_than_d(self):
         ident = LayerFunction.identity(3)
         assert CoverSet((ident,), 3, ident).d == 3
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_member_of_another_width(self, width):
+        # narrower and wider members are refused, not left to fail (or pass)
+        # when applied to the target's points
+        with pytest.raises(ValueError, match=f"width {width}, its target has width 4"):
+            CoverSet((LayerFunction.identity(width),), 1, LayerFunction.identity(4))
+
+
+class TestVerifierWidths:
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_member_of_another_width(self, width):
+        f = layer(2, 2, 3, 3)
+        member = [LayerFunction.identity(width)]
+        with pytest.raises(ValueError, match=f"width {width}, its target has width 4"):
+            verify_d_cover(member, f, 1)
+        with pytest.raises(ValueError, match=f"width {width}, its target has width 4"):
+            verify_sd_cover(member, f, (), 1)

@@ -1,8 +1,9 @@
 """The linear hot paths agree with the definitions they replaced.
 
 Each reference below is the code the package ran before: per-element
-validation loops, one `fiber()` scan per point, and one `chain_layers` /
-`compose_bits` per player or level. The package's one-pass versions must
+validation loops, one `fiber()` scan per point, one `chain_layers` /
+`compose_bits` per player or level, and covers built rotation by rotation
+with one modular index per point. The package's one-pass versions must
 accept, reject, count and compose exactly as these do, with the same
 error texts.
 """
@@ -129,6 +130,40 @@ def ref_verify_sd_cover(perms, f, scope, d):
             continue
         return False, r
     return True, None
+
+
+def ref_mod_to_range(value, modulus):
+    return (value - 1) % modulus + 1
+
+
+def ref_rotations(ordered_fibers, ordered_blocks, n, d):
+    pairs = list(zip(ordered_fibers, ordered_blocks))
+    perms = []
+    for ell in range(1, d + 1):
+        vals = [0] * n
+        for fib, block in pairs:
+            width = len(block)
+            for j, point in enumerate(fib, start=1):
+                vals[point - 1] = block[ref_mod_to_range(j - ell, width) - 1]
+        perms.append(LayerFunction(n, tuple(vals)))
+    return tuple(perms)
+
+
+def ref_d_cover(f, d):
+    fp = ref_fiber_partition(f)
+    return ref_rotations(fp.fibers, fp.blocks, f.n, d)
+
+
+def ref_sd_cover(f, scope, d):
+    fp = ref_fiber_partition(f)
+    ordered_fibers = []
+    ordered_blocks = []
+    for s, fib, block in zip(fp.range_values, fp.fibers, fp.blocks):
+        inside = tuple(r for r in fib if r in scope)
+        outside = tuple(r for r in fib if r not in scope)
+        ordered_fibers.append(inside + outside)
+        ordered_blocks.append(tuple(b for b in block if b != s) + (s,))
+    return ref_rotations(ordered_fibers, ordered_blocks, f.n, d)
 
 
 def ref_make_view(inst, j, kind, messages):
@@ -389,6 +424,52 @@ class TestFiberCounting:
             assert outcome(verify_sd_cover, perms, f, scope, 1) == outcome(
                 ref_verify_sd_cover, perms, f, scope, 1
             )
+
+
+# -- one cover builder ----------------------------------------------------------
+
+
+def every_width_layers(seed):
+    """Seeded layers of every width 1..12, from constant to spread out."""
+    rng = random.Random(seed)
+    for n in range(1, 13):
+        for skew in sorted({1, 2, (n + 1) // 2, n}):
+            for _ in range(8):
+                yield LayerFunction(n, tuple(rng.randint(1, min(skew, n)) for _ in range(n)))
+
+
+class TestCoverConstruction:
+    @pytest.mark.parametrize("scope_kind", ["empty", "random", "full"])
+    def test_covers_match_rotations(self, scope_kind):
+        rng = random.Random(500)
+        for f in every_width_layers(600):
+            points = range(1, f.n + 1)
+            scope = {
+                "empty": frozenset(),
+                "random": frozenset(r for r in points if rng.random() < 0.5),
+                "full": frozenset(points),
+            }[scope_kind]
+            for d in sorted({1, 2, 3, f.n + 1}):
+                plain = build_d_cover(f, d)
+                assert plain.perms == ref_d_cover(f, d)
+                assert (plain.d, plain.target, plain.scope) == (d, f, None)
+                scoped = build_sd_cover(f, scope, d)
+                assert scoped.perms == ref_sd_cover(f, scope, d)
+                assert (scoped.d, scoped.target, scoped.scope) == (d, f, scope)
+
+    def test_full_scope_keeps_its_own_order(self):
+        # the frozen k=3 transcripts read the plain order, so the plain and
+        # the full-scope cover never share a memo entry
+        differ = 0
+        for f in every_width_layers(601):
+            full = frozenset(range(1, f.n + 1))
+            for d in (1, 2, 3):
+                plain, scoped = build_d_cover(f, d), build_sd_cover(f, full, d)
+                assert plain != scoped
+                expected = ref_d_cover(f, d) != ref_sd_cover(f, full, d)
+                assert (plain.perms != scoped.perms) == expected
+                differ += expected
+        assert differ > 0
 
 
 # -- one suffix derivation -------------------------------------------------------
