@@ -324,10 +324,20 @@ class TestTamperedBlackboards:
         with pytest.raises(ProtocolInvariantError, match="membership indicator"):
             self.proto.players[2](view)
 
-    @pytest.mark.parametrize("k, tampered", [(5, 2), (5, 3), (12, 2), (12, 7), (12, 11)])
-    def test_last_player_rechecks_every_announcement(self, k, tampered):
-        # the last player reads every announcement 2 .. k-1, walking one
+    @pytest.mark.parametrize("tampered", [2, 3])
+    def test_last_player_rechecks_every_announcement(self, tampered):
+        # k=5: the last player reads announcements 2 and 3 on the way to the
+        # terminal one, and each must still hold the walk point
+        self._assert_tampered_announcement_caught(5, tampered)
+
+    @pytest.mark.parametrize("tampered", [2, 7, 11])
+    def test_last_player_rechecks_every_announcement_long_chain(self, tampered):
+        # k=12: the last player reads every announcement 2 .. 11, walking one
         # more layer per announcement, and each must still hold the walk point
+        self._assert_tampered_announcement_caught(12, tampered)
+
+    @staticmethod
+    def _assert_tampered_announcement_caught(k, tampered):
         n = 16
         proto = bucketing_protocol(n, k)
         plan = bucket_width_plan(n, k)
