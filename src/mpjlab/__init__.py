@@ -10,7 +10,6 @@ from .core import (
     MpjInstance,
     Variant,
     derive_views,
-    embed_three,
     enumerate_instances,
     eval_instance,
     eval_mpj,
@@ -48,7 +47,6 @@ from .jump import (
     SjChain,
     build_sj_chain,
     check_perm_protocol3,
-    choose_d,
     index_protocol,
     mpj3_sublinear,
     mpjk_sublinear,

@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind, run
@@ -82,6 +82,32 @@ def max_message_bits(n: int) -> float:
     if n < 2 or n % 2:
         raise ValueError("the bound needs an even n of at least 2")
     return n - math.log2(n) / 2 - 2
+
+
+ATTACK_BUDGET = 13_166_010
+"""The most message evaluations an attack may take in the worst case.
+
+This is 1,023 x C(16, 8). A level of the search never evaluates more than
+the C(n, n/2) half-weight layers, so every target of width n <= 16 with up
+to 1,024 players fits, whatever bits it declares; wider targets fit when
+their declared bits keep 2^(t+2) - 1 evaluations per level small enough.
+"""
+
+
+def worst_case_evaluations(n: int, bounds: Iterable[int]) -> int:
+    """Most evaluations the cell search takes over levels whose players
+    declare these bounds: min(C(n, n/2), 2^(t+2) - 1) per level, each level
+    counted only up to 2^64, far past any search that can run. So a sum under
+    2^64 is exact, and C(n, i) is built up for at most 64 steps at any n.
+    """
+    caps = [min(2 ** (t + 2) - 1, 2**64) for t in bounds]
+    top = max(caps, default=0)
+    half = 1
+    for i in range(1, n // 2 + 1):
+        if half >= top:
+            break
+        half = half * (n + 1 - i) // i
+    return sum(min(half, cap) for cap in caps)
 
 
 def _iter_half_weight(n: int) -> Iterator[BitVector]:
@@ -170,12 +196,20 @@ def _check_preconditions(protocol: ProtocolHandle) -> int:
         raise BoundRefusedError(str(exc)) from None
     if protocol.declared_max_bits is None:
         raise BoundRefusedError("the attack needs declared per-player message bounds")
-    for j, bound in enumerate(protocol.declared_max_bits[: protocol.k - 1], start=1):
+    bounds = protocol.declared_max_bits[: protocol.k - 1]
+    for j, bound in enumerate(bounds, start=1):
         if bound > limit:
             raise BoundRefusedError(
                 f"player {j} declares {bound} bits, over the counting limit "
                 f"{limit:.3f} at n={n}"
             )
+    evaluations = worst_case_evaluations(n, bounds)
+    if evaluations > ATTACK_BUDGET:
+        count = f"{evaluations:,}" if evaluations < 2**64 else "2^64 or more"
+        raise BoundRefusedError(
+            f"the cell search may take {count} message evaluations over "
+            f"{len(bounds)} levels at n={n}, over the budget of {ATTACK_BUDGET:,}"
+        )
     return n
 
 

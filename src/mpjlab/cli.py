@@ -35,7 +35,6 @@ from .registry import BuiltProtocol, UnknownProtocolError, _cover_d, build_proto
 from .sim import ProtocolContractError, ProtocolInvariantError, run, verify
 
 SEED_ENV_VAR = "MPJLAB_SEED"
-ATTACK_WIDTH_CAP = 16
 
 
 def _default_seed() -> int:
@@ -314,12 +313,6 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    if args.n > ATTACK_WIDTH_CAP and not args.allow_large_n:
-        raise BoundRefusedError(
-            f"the attack's cell search can evaluate all C(n, n/2) half-weight layers "
-            f"per level; n={args.n} is over the cap "
-            f"{ATTACK_WIDTH_CAP} (pass --allow-large-n to override)"
-        )
     built = _build(args)
     pair = build_fooling_inputs(built.handle)
     report = verify_fooling(built.handle, pair.inst0, pair.inst1)
@@ -397,8 +390,6 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="build a fooling pair against a collapsing protocol")
     _add_protocol_args(p, seed=seed)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--allow-large-n", action="store_true",
-                   help="lift the n cap (the worst-case half-weight search grows fast)")
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("emit-plot-data", help="fixed-schema cost CSV across widths")

@@ -132,7 +132,7 @@ class LayerFunction:
         """The composition self(inner(.)): apply `inner` first."""
         if inner.n != self.n:
             raise ValueError("composition requires matching widths")
-        return LayerFunction(self.n, tuple(self.values[v - 1] for v in inner.values))
+        return LayerFunction(self.n, tuple([self.values[v - 1] for v in inner.values]))
 
     def inverse(self) -> "LayerFunction":
         if not self.is_permutation:
@@ -183,7 +183,7 @@ class BitVector:
         """The bit layer self(f(.)): read position f(r) for each r."""
         if f.n != self.n:
             raise ValueError("composition requires matching widths")
-        return BitVector(self.n, tuple(self.bits[v - 1] for v in f.values))
+        return BitVector(self.n, tuple([self.bits[v - 1] for v in f.values]))
 
 
 def follow_pointers(start: int, layers: Sequence[LayerFunction]) -> int:
@@ -370,25 +370,6 @@ def derive_views(inst: Instance) -> DerivedViews:
         maps.append(maps[-1].after(f))
     maps.reverse()
     return DerivedViews(n, k, Variant.MPJ_HAT, tuple(reached), (), tuple(maps))
-
-
-def embed_three(inst: MpjInstance, j: int) -> MpjInstance:
-    """Collapse a Boolean instance around middle layer j into a 3-layer one.
-
-    The new instance keeps layer j verbatim, replaces the prefix with the
-    walk point entering layer j, and the suffix with its collapsed bit layer.
-    Its answer equals the original's.
-    """
-    if not 1 < j < inst.k:
-        raise ValueError(f"embed_three needs 1 < j < k={inst.k}, got {j}")
-    views = derive_views(inst)
-    return MpjInstance(
-        inst.n,
-        3,
-        views.reached_at(j),
-        (inst.middles[j - 2],),
-        views.suffix_bits(j),
-    )
 
 
 def _normalized_mask(

@@ -14,6 +14,7 @@ import math
 import random
 from typing import Callable
 
+from .adversary import max_message_bits
 from .core import BitVector, Variant
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind
 
@@ -115,16 +116,11 @@ def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
     return _handle(f"hash{t}", n, k, t, speak)
 
 
-def attack_width_limit(n: int) -> int:
-    """Largest whole per-player width the fooling construction accepts."""
-    return math.floor(n - math.log2(n) / 2 - 2)
-
-
 def collapsing_family(n: int, k: int, count: int, seed: int = 0) -> list[ProtocolHandle]:
     """A deterministic mix of attack targets, with widths cycling 1..limit."""
     if count < 1:
         raise ValueError("count must be positive")
-    limit = attack_width_limit(n)
+    limit = math.floor(max_message_bits(n))
     if limit < 1:
         raise ValueError(f"n={n} leaves no room for a positive message width")
     builders = (

@@ -17,7 +17,6 @@ every reader can already see.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -128,21 +127,6 @@ def index_protocol(n: int) -> ProtocolHandle:
         n=n,
         declared_max_bits=(n, 1),
     )
-
-
-def choose_d(k: int, phi_n: float) -> int:
-    """Cover size balancing opening cost against shipped raw bits.
-
-    phi_n is the subprotocol's cost ratio m/n... strictly: the per-bit cost
-    factor of the plug-in subprotocol; smaller phi_n permits larger d.
-    """
-    if k < 3:
-        raise ValueError("choose_d needs k >= 3")
-    if phi_n <= 0:
-        raise ValueError("phi_n must be positive")
-    value = (1.0 / ((k - 2) * phi_n)) ** (1.0 / (k - 1))
-    # guard against float noise pushing an exact integer over the ceiling
-    return max(1, math.ceil(value - 1e-9))
 
 
 @dataclass(frozen=True)

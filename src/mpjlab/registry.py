@@ -112,11 +112,22 @@ until memory runs out, and the bucket plan alone takes O(k^2) steps.
 """
 
 
-def _player_count(k: int) -> int:
-    """Refuse a player count over MAX_PLAYERS before anything is built."""
-    if k > MAX_PLAYERS:
-        raise ValueError(f"player count k={k} is over {MAX_PLAYERS}; use k <= {MAX_PLAYERS}")
-    return k
+MAX_WIDTH = 4096
+"""The largest width n the registry builds.
+
+Every layer, bit layer and message is an n-tuple and a run holds k of
+them, so an unbounded n allocates until memory runs out before the first
+message is sent. At this cap a sampled verify of the cover and bucketing
+protocols, or an attack on a short-message target, takes under a second,
+and the heaviest case, `constant` at k = MAX_PLAYERS, stays near 200 MiB.
+"""
+
+
+def _at_most(what: str, symbol: str, value: int, cap: int) -> int:
+    """Refuse a player count or width over its cap before anything is built."""
+    if value > cap:
+        raise ValueError(f"{what} {symbol}={value} is over {cap}; use {symbol} <= {cap}")
+    return value
 
 
 def _cover_bound(p: Params) -> float:
@@ -187,8 +198,11 @@ def _lookup(
     spec = PROTOCOLS[key]
     if spec.fixed_k and k not in (None, spec.default_k):
         raise ValueError(f"{name} is a {spec.default_k}-player protocol")
-    kk = spec.default_k if k is None or spec.fixed_k else _player_count(k)
-    params = Params(n, kk, 1 if d is None else d, int(m[2]) if m else None, seed)
+    kk = spec.default_k if k is None or spec.fixed_k else k
+    params = Params(
+        _at_most("width", "n", n, MAX_WIDTH), _at_most("player count", "k", kk, MAX_PLAYERS),
+        1 if d is None else d, int(m[2]) if m else None, seed,
+    )
     return spec, params
 
 

@@ -5,6 +5,7 @@ x' = 0101 realizes each of the four patterns exactly once, at positions
 1, 2, 3, 4 respectively.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -12,6 +13,7 @@ import math
 import pytest
 
 from mpjlab.adversary import (
+    ATTACK_BUDGET,
     BoundRefusedError,
     CrossingPair,
     CrossingSearchError,
@@ -22,10 +24,10 @@ from mpjlab.adversary import (
     is_crossing,
     max_message_bits,
     verify_fooling,
+    worst_case_evaluations,
 )
 from mpjlab.core import BitVector, LayerFunction, MpjInstance, Variant
 from mpjlab.families import (
-    attack_width_limit,
     collapsing_family,
     constant_protocol,
     hashing_protocol,
@@ -112,6 +114,25 @@ class TestCountingBound:
     def test_central_binomial_lower_bound(self):
         for n in range(2, 65, 2):
             assert math.comb(n, n // 2) > 2**n / (2 * math.sqrt(n))
+
+    def test_worst_case_matches_the_formula(self):
+        for n in range(2, 81, 2):
+            ts = range(0, math.floor(max_message_bits(n)) + 1)
+            for bounds in [[t] for t in ts] + [list(ts), [0, *ts[-1:], 1]]:
+                assert worst_case_evaluations(n, bounds) == sum(
+                    min(math.comb(n, n // 2), 2 ** (t + 2) - 1, 2**64) for t in bounds
+                )
+
+    def test_worst_case_never_builds_a_huge_central_binomial(self):
+        # math.comb(10**6, 5 * 10**5) alone takes seconds
+        assert worst_case_evaluations(10**6, [4, 0, 100]) == 63 + 3 + 2**64
+        assert worst_case_evaluations(10**6, [10**6 - 12]) == 2**64
+
+    def test_budget_covers_every_width_up_to_sixteen(self):
+        assert ATTACK_BUDGET == 1023 * math.comb(16, 8)
+        for n in range(2, 17, 2):
+            t = math.floor(max_message_bits(n))
+            assert worst_case_evaluations(n, [max(t, 0)] * 1023) <= ATTACK_BUDGET
 
 
 class TestFindCrossedCell:
@@ -264,6 +285,37 @@ class TestBuildFoolingInputs:
         with pytest.raises(BoundRefusedError, match="even"):
             build_fooling_inputs(truncating_protocol(7, 3, 1))
 
+    def test_refuses_over_budget_before_any_evaluation(self):
+        def called(view):
+            raise AssertionError("a player was evaluated")
+
+        proto = dataclasses.replace(truncating_protocol(32, 4, 24), players=(called,) * 4)
+        with pytest.raises(BoundRefusedError, match="201,326,589 .* budget of 13,166,010"):
+            build_fooling_inputs(proto)
+        # a count past 2^64 is not formatted in full
+        wide = truncating_protocol(20000, 3, math.floor(max_message_bits(20000)))
+        with pytest.raises(BoundRefusedError, match=r"take 2\^64 or more message"):
+            build_fooling_inputs(dataclasses.replace(wide, players=(called,) * 3))
+
+    @pytest.mark.parametrize("k", (3, 4, 6))
+    @pytest.mark.parametrize("n", (8, 10, 12, 16))
+    def test_evaluations_within_the_computed_bound(self, n, k):
+        for proto in collapsing_family(n, k, 13, seed=n + k):
+            calls = 0
+
+            def counted(fn):
+                def player(view):
+                    nonlocal calls
+                    calls += 1
+                    return fn(view)
+
+                return player
+
+            build_fooling_inputs(
+                dataclasses.replace(proto, players=tuple(map(counted, proto.players)))
+            )
+            assert 0 < calls <= worst_case_evaluations(n, proto.declared_max_bits[: k - 1])
+
 
 class TestVerifyFooling:
     def test_degenerate_pair_is_flagged(self):
@@ -336,9 +388,10 @@ class TestFamilies:
         assert len(collapsing_family(8, 3, 50)) == 50
 
     def test_width_limit(self):
-        assert attack_width_limit(8) == 4
-        assert attack_width_limit(10) == 6
-        assert attack_width_limit(16) == 12
+        for n, limit in ((8, 4), (10, 6), (16, 12)):
+            family = collapsing_family(n, 3, 1 + 3 * limit)
+            assert [p.declared_max_bits[0] for p in family[1::3]] == list(range(1, limit + 1))
+            assert collapsing_family(n, 3, 4 + 3 * limit)[-1].name == "hash1"
 
     def test_family_errors(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from mpjlab.jump import mpjk_sublinear, naive_perm_protocol
 from mpjlab.registry import (
     BASE_NAMES,
     MAX_PLAYERS,
+    MAX_WIDTH,
     BuiltProtocol,
     UnknownProtocolError,
     build_protocol,
@@ -483,23 +484,26 @@ class TestCoverParameterRange:
         assert verify(proto, sample_instances(3, 4, Variant.MPJ, count=20, seed=1)).ok
 
 
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Every registry builder, bound and plan, and every instance source, fails."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("built a protocol, plan or instance past a size cap")
+
+    for name, spec in registry.PROTOCOLS.items():
+        monkeypatch.setitem(
+            registry.PROTOCOLS, name,
+            dataclasses.replace(spec, build=built, bound=built, bucket_plan=built),
+        )
+    for name in ("sample_instance", "sample_instances", "enumerate_instances",
+                 "build_fooling_inputs"):
+        monkeypatch.setattr(f"mpjlab.cli.{name}", built)
+
+
 class TestPlayerCountRange:
     """Every registry protocol takes k <= MAX_PLAYERS; a larger k is refused
     with one error line before any protocol, plan or instance is built."""
-
-    @pytest.fixture
-    def nothing_built(self, monkeypatch):
-        def built(*args, **kwargs):
-            raise AssertionError("built a protocol, plan or instance for k over the cap")
-
-        for name, spec in registry.PROTOCOLS.items():
-            monkeypatch.setitem(
-                registry.PROTOCOLS, name,
-                dataclasses.replace(spec, build=built, bound=built, bucket_plan=built),
-            )
-        for name in ("sample_instance", "sample_instances", "enumerate_instances",
-                     "build_fooling_inputs"):
-            monkeypatch.setattr(f"mpjlab.cli.{name}", built)
 
     @pytest.mark.parametrize(
         "argv",
@@ -541,6 +545,46 @@ class TestPlayerCountRange:
         assert constant_protocol(4, MAX_PLAYERS + 1).k == MAX_PLAYERS + 1
 
 
+class TestWidthRange:
+    """Every registry protocol takes n <= MAX_WIDTH; a wider n is refused
+    with one error line before any protocol, plan or instance is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--protocol", "constant", "--n", "100000000", "--samples", "1"),
+            ("run", "--protocol", "index", "--n", "100000000"),
+            ("verify", "--protocol", "mpjk-sublinear", "--n", str(MAX_WIDTH + 1),
+             "--exhaustive"),
+            ("bench", "--protocol", "bucketing", "--n", str(MAX_WIDTH + 1), "--samples", "5"),
+            ("emit-plot-data", "--protocol", "index", "--n", "100000000", "--samples", "5"),
+            ("attack", "--protocol", "hash2", "--n", "100000000"),
+        ],
+        ids=" ".join,
+    )
+    def test_n_over_the_cap_is_refused_before_building(self, capsys, nothing_built, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: width n=") and err.count("\n") == 1
+        assert f"use n <= {MAX_WIDTH}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--protocol", "index", "--n", str(MAX_WIDTH)),
+            ("verify", "--protocol", "bucketing", "--n", str(MAX_WIDTH), "--k", "4",
+             "--samples", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_n_at_the_cap_is_accepted(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+
+    def test_library_takes_any_n(self):
+        assert constant_protocol(MAX_WIDTH + 2, 3).n == MAX_WIDTH + 2
+
+
 class TestAttack:
     def test_fooling_succeeds_on_weak_target(self, capsys):
         code, out, _ = run_cli(
@@ -564,16 +608,18 @@ class TestAttack:
         code, _, err = run_cli(capsys, "attack", "--protocol", "index", "--n", "8")
         assert code == 2 and "refused" in err
 
-    def test_width_cap(self, capsys):
-        code, _, err = run_cli(capsys, "attack", "--protocol", "truncate1", "--n", "18")
-        assert code == 2 and "--allow-large-n" in err
-
-    def test_width_cap_override(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "attack", "--protocol", "truncate1", "--n", "18", "--allow-large-n"
-        )
-        assert code == 0
+    def test_wide_target_within_budget(self, capsys):
+        code, out, err = run_cli(capsys, "attack", "--protocol", "truncate1", "--n", "18")
+        assert code == 0 and err == ""
         assert json.loads(out)["report"]["fooled"] is True
+
+    def test_over_budget_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "attack", "--protocol", "truncate24", "--n", "32", "--k", "4"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert "201,326,589 message evaluations" in err and "13,166,010" in err
 
 
 class TestSeedEnvironment:

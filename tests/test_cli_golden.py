@@ -57,6 +57,8 @@ COMMANDS = (
     "attack --protocol constant --n 8 --k 5",
     "run --protocol mpj3-sublinear --n 4 --k 4",
     "attack --protocol index --n 8",
+    "attack --protocol hash4 --n 32 --k 4 --seed 1",
+    "attack --protocol truncate24 --n 32 --k 4",
 )
 
 

@@ -20,7 +20,6 @@ from mpjlab.core import (
     chain_layers,
     compose_bits,
     derive_views,
-    embed_three,
     enumerate_instances,
     eval_instance,
     eval_mpj,
@@ -194,27 +193,6 @@ class TestDerivedViews:
             views.suffix_bits(3)
         with pytest.raises(ValueError):
             views.suffix_map(1)
-
-
-class TestEmbedThree:
-    def test_requires_interior_layer(self):
-        inst = MpjInstance(3, 3, 1, (layer(1, 2, 3),), bits("010"))
-        with pytest.raises(ValueError):
-            embed_three(inst, 1)
-        with pytest.raises(ValueError):
-            embed_three(inst, 3)
-
-    def test_answer_preserved_exhaustively(self):
-        for inst in enumerate_instances(2, 4, Variant.MPJ):
-            for j in (2, 3):
-                folded = embed_three(inst, j)
-                assert folded.k == 3
-                assert eval_mpj(folded) == eval_mpj(inst)
-
-    def test_answer_preserved_on_samples(self):
-        for inst in sample_instances(4, 5, Variant.MPJ, count=200, seed=11):
-            for j in (2, 3, 4):
-                assert eval_mpj(embed_three(inst, j)) == eval_mpj(inst)
 
 
 class TestEnumeration:

@@ -24,7 +24,6 @@ from mpjlab.jump import (
     PermProtocol3,
     build_sj_chain,
     check_perm_protocol3,
-    choose_d,
     index_protocol,
     mpj3_sublinear,
     mpjk_sublinear,
@@ -39,32 +38,6 @@ def layer(*values):
 
 def bits(text):
     return BitVector.from01(text)
-
-
-class TestChooseD:
-    def test_frozen_values(self):
-        assert choose_d(3, 1.0) == 1
-        assert choose_d(3, 0.25) == 2
-        assert choose_d(4, 0.01) == 4
-
-    def test_exact_integers_do_not_round_up(self):
-        # (1 / (phi))^(1/2) = 3 exactly must give 3, not 4
-        assert choose_d(3, 1.0 / 9.0) == 3
-        assert choose_d(4, 1.0 / 54.0) == 3
-
-    def test_never_below_one(self):
-        assert choose_d(3, 100.0) == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            choose_d(2, 1.0)
-        with pytest.raises(ValueError):
-            choose_d(3, 0.0)
-
-    @given(st.integers(3, 8), st.floats(0.001, 10.0))
-    def test_result_is_a_positive_integer(self, k, phi):
-        d = choose_d(k, phi)
-        assert isinstance(d, int) and d >= 1
 
 
 class TestPermSubprotocol:
