@@ -3,13 +3,12 @@
 from .core import (
     BitVector,
     BudgetExceededError,
-    DerivedViews,
     Instance,
     LayerFunction,
     MpjHatInstance,
     MpjInstance,
     Variant,
-    derive_views,
+    collapsed_suffixes,
     enumerate_instances,
     eval_instance,
     eval_mpj,

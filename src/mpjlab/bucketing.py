@@ -87,7 +87,6 @@ class BucketPlan:
     n: int
     k: int
     widths: tuple[int, ...]
-    doubling: bool
     terminal: int
 
     def width(self, j: int) -> int:
@@ -109,7 +108,7 @@ def bucket_width_plan(n: int, k: int) -> BucketPlan:
     widths = tuple(
         max(1, math.ceil(iterated_log(n, k - j))) for j in range(1, k)
     ) + (n,)
-    return BucketPlan(n, k, widths, doubling=False, terminal=k - 1)
+    return BucketPlan(n, k, widths, terminal=k - 1)
 
 
 def doubling_plan(n: int, k: int) -> BucketPlan:
@@ -133,7 +132,7 @@ def doubling_plan(n: int, k: int) -> BucketPlan:
             f"doubling widths cannot reach singleton buckets with {k - 1} announcing "
             f"players at n={n}"
         )
-    return BucketPlan(n, k, tuple(widths) + (n,), doubling=True, terminal=terminal)
+    return BucketPlan(n, k, tuple(widths) + (n,), terminal=terminal)
 
 
 def _parse_survivors(msg: Message, n: int, width: int) -> tuple[tuple[int, ...], Message]:
@@ -172,11 +171,6 @@ def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int)
     return _read_index(indices, survivors.index(walk_point), prev_width)
 
 
-def _walk_of(view: PlayerView, upto: int) -> int:
-    """Walk point entering layer `upto`, from the individually visible prefix."""
-    return follow_pointers(view.start, view.prefix_layers[: upto - 2])
-
-
 def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
     n, k = plan.n, plan.k
 
@@ -201,7 +195,7 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
         def speak_buckets(view: PlayerView) -> Message:
             if j > plan.terminal:
                 return Message()
-            walk_point = _walk_of(view, j)
+            walk_point = follow_pointers(view.start, view.prefix_layers)
             bucket = _bucket_of_walk(view, plan, j, walk_point)
             members = set(bucket_members(plan.width(j - 1), n, bucket))
             g = view.suffix

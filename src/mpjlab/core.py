@@ -312,64 +312,23 @@ def eval_instance(inst: Instance) -> int:
     return eval_mpj_hat(inst)
 
 
-@dataclass(frozen=True)
-class DerivedViews:
-    """Precomputed walk points and collapsed suffixes of one instance.
+def collapsed_suffixes(inst: Instance) -> tuple[BitVector, ...] | tuple[LayerFunction, ...]:
+    """The collapsed suffix after each layer j, at index j-1.
 
-    reached_at(j) is the point entering layer j (the walk after j-2 middle
-    layers), defined for 2 <= j <= k. suffix_bits(j) collapses everything
-    after layer j of a Boolean instance into one bit layer (1 <= j <= k-1).
-    suffix_map(j) collapses the layers after layer j of a pointer instance
-    into one function (1 <= j <= k; the empty suffix is the identity).
+    This is the one derivation of collapsed suffixes. For a Boolean
+    instance the k-1 entries are bit layers (everything after layer j, x
+    included, read as one bit layer); for a pointer instance the k entries
+    are functions (the layers after layer j composed, the last one the
+    identity). Both are built right to left, one composition per layer,
+    so the pass is O(kn).
     """
-
-    n: int
-    k: int
-    variant: Variant
-    _reached: tuple[int, ...]
-    _suffix_bits: tuple[BitVector, ...]
-    _suffix_maps: tuple[LayerFunction, ...]
-
-    def reached_at(self, j: int) -> int:
-        if not 2 <= j <= self.k:
-            raise ValueError(f"reached_at defined for 2 <= j <= {self.k}, got {j}")
-        return self._reached[j - 2]
-
-    def suffix_bits(self, j: int) -> BitVector:
-        if self.variant is not Variant.MPJ:
-            raise ValueError("suffix_bits is only defined for the Boolean variant")
-        if not 1 <= j <= self.k - 1:
-            raise ValueError(f"suffix_bits defined for 1 <= j <= {self.k - 1}, got {j}")
-        return self._suffix_bits[j - 1]
-
-    def suffix_map(self, j: int) -> LayerFunction:
-        if self.variant is not Variant.MPJ_HAT:
-            raise ValueError("suffix_map is only defined for the pointer variant")
-        if not 1 <= j <= self.k:
-            raise ValueError(f"suffix_map defined for 1 <= j <= {self.k}, got {j}")
-        return self._suffix_maps[j - 1]
-
-
-def derive_views(inst: Instance) -> DerivedViews:
-    """Compute all walk points and collapsed suffixes of an instance.
-
-    This is the one derivation of collapsed suffixes. They are built right
-    to left, one composition per layer (the suffix after layer j is the
-    suffix after layer j+1 applied after layer j+1), so the pass is O(kn).
-    """
-    n, k = inst.n, inst.k
-    walk_layers = inst.middles if isinstance(inst, MpjInstance) else inst.layers[: k - 2]
-    reached = [inst.i]
-    for f in walk_layers:
-        reached.append(f(reached[-1]))
     if isinstance(inst, MpjInstance):
-        suffixes = bit_suffixes(inst.x, inst.middles)
-        return DerivedViews(n, k, Variant.MPJ, tuple(reached), suffixes, ())
-    maps = [LayerFunction.identity(n)]
+        return bit_suffixes(inst.x, inst.middles)
+    maps = [LayerFunction.identity(inst.n)]
     for f in reversed(inst.layers):
         maps.append(maps[-1].after(f))
     maps.reverse()
-    return DerivedViews(n, k, Variant.MPJ_HAT, tuple(reached), (), tuple(maps))
+    return tuple(maps)
 
 
 def _normalized_mask(

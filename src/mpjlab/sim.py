@@ -28,14 +28,14 @@ from typing import Callable, Iterable
 
 from .core import (
     BitVector,
-    DerivedViews,
     Instance,
     LayerFunction,
     MpjInstance,
     Variant,
     _are_bits,
-    derive_views,
+    collapsed_suffixes,
     eval_instance,
+    follow_pointers,
 )
 
 
@@ -232,20 +232,20 @@ class PlayerView:
     suffix: BitVector | LayerFunction | None = None
 
 
-# The derived views of the last instance projected, so that the k views of
-# one run share a single derivation. The entry holds its instance and is
+# The collapsed suffixes of the last instance projected, so that the k views
+# of one run share a single derivation. The entry holds its instance and is
 # matched by identity, so it can never answer for another instance.
-_last_derived: tuple[Instance, DerivedViews] | None = None
+_last_derived: tuple[Instance, tuple[BitVector | LayerFunction, ...]] | None = None
 
 
-def _derived(inst: Instance) -> DerivedViews:
+def _suffixes(inst: Instance) -> tuple[BitVector | LayerFunction, ...]:
     global _last_derived
     last = _last_derived
     if last is not None and last[0] is inst:
         return last[1]
-    views = derive_views(inst)
-    _last_derived = (inst, views)
-    return views
+    suffixes = collapsed_suffixes(inst)
+    _last_derived = (inst, suffixes)
+    return suffixes
 
 
 def make_view(
@@ -258,12 +258,8 @@ def make_view(
     base = dict(j=j, n=n, k=k, variant=inst.variant, kind=kind, messages=messages)
     boolean = isinstance(inst, MpjInstance)
     layers = inst.middles if boolean else inst.layers
-    derived = _derived(inst)
-
-    if boolean:
-        suffix = derived.suffix_bits(j) if j < k else None
-    else:
-        suffix = derived.suffix_map(j)
+    # the Boolean last player has no suffix: x is their own layer
+    suffix = None if boolean and j == k else _suffixes(inst)[j - 1]
 
     if kind is ViewKind.FULL_ONE_WAY:
         return PlayerView(
@@ -282,7 +278,7 @@ def make_view(
             suffix=suffix,
         )
     # conservative collapsing: only the walk point and the collapsed suffix
-    walked = derived.reached_at(j) if j >= 2 else None
+    walked = follow_pointers(inst.i, layers[: j - 2]) if j >= 2 else None
     return PlayerView(**base, walked=walked, suffix=suffix)
 
 

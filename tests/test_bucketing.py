@@ -176,9 +176,9 @@ class TestWidthPlans:
         with pytest.raises(ValueError):
             bucket_width_plan(8, 2)
         with pytest.raises(ValueError):
-            BucketPlan(8, 3, (1, 2, 8), doubling=False, terminal=2)  # 4 < 8
+            BucketPlan(8, 3, (1, 2, 8), terminal=2)  # 4 < 8
         with pytest.raises(ValueError):
-            BucketPlan(8, 3, (1, 3, 8), doubling=False, terminal=3)
+            BucketPlan(8, 3, (1, 3, 8), terminal=3)
 
     def test_doubling_widths_and_early_terminal(self):
         plan = doubling_plan(16, 8)

@@ -585,6 +585,33 @@ class TestWidthRange:
         assert constant_protocol(MAX_WIDTH + 2, 3).n == MAX_WIDTH + 2
 
 
+class TestWidthListRefusals:
+    """`bench` and `emit-plot-data` build every width of `--n` before they
+    verify any, so a bad later entry is refused with nothing verified."""
+
+    @pytest.mark.parametrize("command", ["bench", "emit-plot-data"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--protocol", "index", "--n", f"4,{MAX_WIDTH + 1}", "--samples", "20000"),
+             "error: width n="),
+            (("--protocol", "mpjk-sublinear", "--n", "8,3", "--k", "4", "--d", "4",
+              "--samples", "20000"),
+             "error: cover parameter d="),
+        ],
+        ids=["wide-later-n", "d-over-later-n"],
+    )
+    def test_later_entry_is_refused_before_any_verify(
+        self, capsys, monkeypatch, command, argv, message
+    ):
+        calls = []
+        monkeypatch.setattr("mpjlab.cli.verify", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        assert calls == []
+
+
 class TestAttack:
     def test_fooling_succeeds_on_weak_target(self, capsys):
         code, out, _ = run_cli(

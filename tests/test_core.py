@@ -18,8 +18,8 @@ from mpjlab.core import (
     MpjInstance,
     Variant,
     chain_layers,
+    collapsed_suffixes,
     compose_bits,
-    derive_views,
     enumerate_instances,
     eval_instance,
     eval_mpj,
@@ -31,6 +31,7 @@ from mpjlab.core import (
     sample_instance,
     sample_instances,
 )
+from mpjlab.sim import ViewKind, make_view
 
 
 def layer(*values):
@@ -153,46 +154,47 @@ class TestEvaluation:
 
 
 class TestDerivedViews:
+    """`collapsed_suffixes` and the walk point of a conservative view."""
+
     def test_identity_middle_keeps_walk_point(self):
         inst = MpjInstance(4, 3, 2, (LayerFunction.identity(4),), bits("0101"))
-        views = derive_views(inst)
-        assert views.reached_at(2) == 2
-        assert views.reached_at(3) == 2
+        kind = ViewKind.CONSERVATIVE_COLLAPSING
+        assert make_view(inst, 2, kind, ()).walked == 2
+        assert make_view(inst, 3, kind, ()).walked == 2
 
     def test_collapsed_suffix_of_first_player(self):
         inst = MpjInstance(4, 3, 1, (layer(2, 1, 4, 3),), bits("0110"))
-        assert derive_views(inst).suffix_bits(1) == bits("1001")
+        assert collapsed_suffixes(inst)[0] == bits("1001")
 
     def test_last_boolean_suffix_is_x_itself(self):
         inst = MpjInstance(3, 4, 2, (layer(2, 3, 1), layer(1, 1, 2)), bits("100"))
-        assert derive_views(inst).suffix_bits(3) == inst.x
+        assert collapsed_suffixes(inst)[2] == inst.x
 
     def test_hat_suffix_collapse(self):
         inst = MpjHatInstance(
             4, 4, 1, (layer(3, 3, 1, 2), layer(2, 2, 2, 2), LayerFunction.identity(4))
         )
-        views = derive_views(inst)
-        assert views.suffix_map(2) == layer(2, 2, 2, 2)  # f_4 after f_3
-        assert views.suffix_map(4) == LayerFunction.identity(4)
+        suffixes = collapsed_suffixes(inst)
+        assert suffixes[1] == layer(2, 2, 2, 2)  # f_4 after f_3
+        assert suffixes[3] == LayerFunction.identity(4)
 
     @given(boolean_instances())
     def test_composition_consistency(self, inst):
         # evaluating at any intermediate layer gives the same answer
-        views = derive_views(inst)
+        suffixes = collapsed_suffixes(inst)
         answer = eval_mpj(inst)
         for j in range(2, inst.k):
             f_j = inst.middles[j - 2]
-            assert views.suffix_bits(j)(f_j(views.reached_at(j))) == answer
+            walked = make_view(inst, j, ViewKind.CONSERVATIVE_COLLAPSING, ()).walked
+            assert suffixes[j - 1](f_j(walked)) == answer
 
     def test_domain_errors(self):
+        # one suffix after each layer: k-1 bit layers for mpj (none after
+        # x), k maps for mpjhat (the last one the empty suffix)
         inst = MpjInstance(3, 3, 1, (layer(1, 2, 3),), bits("010"))
-        views = derive_views(inst)
-        with pytest.raises(ValueError):
-            views.reached_at(1)
-        with pytest.raises(ValueError):
-            views.suffix_bits(3)
-        with pytest.raises(ValueError):
-            views.suffix_map(1)
+        assert len(collapsed_suffixes(inst)) == 2
+        hat = MpjHatInstance(3, 3, 1, (layer(1, 2, 3), layer(3, 2, 1)))
+        assert len(collapsed_suffixes(hat)) == 3
 
 
 class TestEnumeration:

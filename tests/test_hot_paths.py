@@ -25,8 +25,8 @@ from mpjlab.core import (
     Variant,
     bit_suffixes,
     chain_layers,
+    collapsed_suffixes,
     compose_bits,
-    derive_views,
     follow_pointers,
     sample_instances,
 )
@@ -38,7 +38,9 @@ from mpjlab.covers import (
     verify_d_cover,
     verify_sd_cover,
 )
-from mpjlab.jump import SjChain, build_sj_chain
+from mpjlab import sim
+from mpjlab.bucketing import bucketing_protocol
+from mpjlab.jump import SjChain, build_sj_chain, mpjk_sublinear, naive_perm_protocol
 from mpjlab.sim import Message, PlayerView, ViewKind, make_view
 
 ALL_KINDS = (ViewKind.FULL_ONE_WAY, ViewKind.COLLAPSING, ViewKind.CONSERVATIVE_COLLAPSING)
@@ -485,16 +487,15 @@ def seeded_instances(seed):
 class TestSuffixDerivation:
     def test_derive_views_matches_per_suffix_composition(self):
         for inst in seeded_instances(1):
-            views = derive_views(inst)
             if isinstance(inst, MpjInstance):
-                for j in range(1, inst.k):
-                    assert views.suffix_bits(j) == compose_bits(inst.x, inst.middles[j - 1 :])
+                expected = tuple(
+                    compose_bits(inst.x, inst.middles[j - 1 :]) for j in range(1, inst.k)
+                )
             else:
-                for j in range(1, inst.k + 1):
-                    assert views.suffix_map(j) == chain_layers(inst.layers[j - 1 :], inst.n)
-            layers = inst.middles if isinstance(inst, MpjInstance) else inst.layers
-            for j in range(2, inst.k + 1):
-                assert views.reached_at(j) == follow_pointers(inst.i, layers[: j - 2])
+                expected = tuple(
+                    chain_layers(inst.layers[j - 1 :], inst.n) for j in range(1, inst.k + 1)
+                )
+            assert collapsed_suffixes(inst) == expected
 
     def test_bit_suffixes_match_compose_bits(self):
         for inst in seeded_instances(2):
@@ -529,3 +530,27 @@ class TestSuffixDerivation:
             for j in range(1, 5):
                 for kind in ALL_KINDS:
                     assert make_view(inst, j, kind, ()) == ref_make_view(inst, j, kind, ())
+
+    def test_one_derivation_per_run_and_no_walk(self, monkeypatch):
+        # the k views of a run share one derivation; a run of another
+        # instance derives afresh; collapsing views never walk the prefix
+        derivations, walks = [], []
+
+        def counted(inst):
+            derivations.append(inst)
+            return collapsed_suffixes(inst)
+
+        monkeypatch.setattr(sim, "collapsed_suffixes", counted)
+        monkeypatch.setattr(sim, "follow_pointers", lambda *args: walks.append(args))
+        mpjk = mpjk_sublinear(naive_perm_protocol(8), 2, 6)
+        bucketing = bucketing_protocol(8, 5)
+        booleans = sample_instances(8, 6, Variant.MPJ, count=3, seed=5)
+        pointers = sample_instances(8, 5, Variant.MPJ_HAT, (True,) * 4, count=3, seed=6)
+        runs = 0
+        for a, b in zip(booleans, pointers):
+            for protocol, inst in ((mpjk, a), (bucketing, b)) * 2:
+                sim.run(protocol, inst)
+                runs += 1
+                assert derivations[-1] is inst
+        assert len(derivations) == runs == 12
+        assert walks == []
