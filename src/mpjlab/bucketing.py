@@ -4,13 +4,17 @@ Interval buckets over [n]: with 2^t buckets, point r lands in bucket
 ceil(2^t * r / n), so every bucket holds at most ceil(n / 2^t)
 consecutive points and a bucket index costs t bits.
 
-The first player announces, for every candidate point r, which bucket her
-collapsed suffix sends r to. Each later player knows her own walk point,
+The first player announces, for every candidate point r, which bucket their
+collapsed suffix sends r to. Each later player knows their own walk point,
 looks up its announced bucket, keeps only the candidates whose collapsed
 suffix lands in that bucket (the surviving set), and announces finer
 bucket indices for just those survivors, tagged with an n-bit membership
 indicator. Bit widths grow as iterated logarithms, so the surviving sets
 shrink hyper-exponentially and the last player reads a singleton bucket.
+
+Players read ints they already hold: each width has one checked table of
+bucket indices by point, and the walk point's index in an announcement
+sits at its rank, the popcount of the indicator bits above it.
 
 A doubling variant grows widths 1, 2, 4, ... instead; once a width
 reaches ceil(log2 n), buckets are singletons, the remaining middle
@@ -23,9 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import lru_cache
+from typing import Callable, Sequence
 
-from .core import LayerFunction, Variant, follow_pointers
+from .core import Variant, follow_pointers
 from .sim import (
     Message,
     PlayerView,
@@ -135,73 +140,74 @@ def doubling_plan(n: int, k: int) -> BucketPlan:
     return BucketPlan(n, k, tuple(widths) + (n,), terminal=terminal)
 
 
-def _parse_survivors(msg: Message, n: int, width: int) -> tuple[tuple[int, ...], Message]:
-    """Split an announcement into (ascending survivor points, index area)."""
-    if len(msg) < n:
+@lru_cache(maxsize=256)
+def _bucket_table(t: int, n: int) -> tuple[int | None, ...]:
+    """Position v holds bucket_index(t, n, v) - 1 for each point v of [n],
+    checked once to fit in t bits; position 0 is no point."""
+    table = (None, *[bucket_index(t, n, v) - 1 for v in range(1, n + 1)])
+    for index in table[1:]:
+        if not 0 <= index < 1 << t:
+            raise ValueError(f"{index} does not fit in {t} bits")
+    return table
+
+
+def _announcement(msg: Message, n: int, width: int) -> tuple[int, int]:
+    """(indicator, index area) of a later announcement, as ints: bit n - r of
+    the indicator flags survivor r, whose width-bit indices follow in order."""
+    area_bits = len(msg) - n
+    if area_bits < 0:
         raise ProtocolInvariantError("announcement shorter than its membership indicator")
-    indicator = msg.value >> (len(msg) - n)  # bit n - r flags point r
-    survivors = tuple(r for r in range(1, n + 1) if indicator >> (n - r) & 1)
-    indices = msg.slice(n, len(msg))
-    if len(indices) != len(survivors) * width:
+    indicator = msg.value >> area_bits
+    if area_bits != indicator.bit_count() * width:
         raise ProtocolInvariantError("announcement index area has the wrong size")
-    return survivors, indices
-
-
-def _read_index(area: Message, rank: int, width: int) -> int:
-    return area.slice(rank * width, (rank + 1) * width).to_uint() + 1
+    return indicator, msg.value & ((1 << area_bits) - 1)
 
 
 def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int) -> int:
-    """Recover the announced bucket of the answer from message j-1, as player j
-    reads it.
-
-    Player 2 reads position i of the first announcement; later players,
-    the last one included, locate their walk point inside the previous
-    survivor set.
-    """
-    prev = view.messages[j - 2]
-    prev_width = plan.width(j - 1)
+    """The answer's bucket as message j-1 announces it to player j: the index
+    at the walk point's rank among survivors (all points, in message 1)."""
+    prev, width, n = view.messages[j - 2], plan.width(j - 1), view.n
     if j == 2:
-        if len(prev) != view.n * prev_width:
+        if len(prev) != n * width:
             raise ProtocolInvariantError("first announcement has the wrong size")
-        return _read_index(prev, walk_point - 1, prev_width)
-    survivors, indices = _parse_survivors(prev, view.n, prev_width)
-    if walk_point not in survivors:
+        indicator, area = (1 << n) - 1, prev.value
+    else:
+        indicator, area = _announcement(prev, n, width)
+    if not indicator >> (n - walk_point) & 1:
         raise ProtocolInvariantError("walk point missing from the surviving set")
-    return _read_index(indices, survivors.index(walk_point), prev_width)
+    rank = (indicator >> (n - walk_point + 1)).bit_count()
+    shift = (indicator.bit_count() - 1 - rank) * width
+    return ((area >> shift) & ((1 << width) - 1)) + 1
 
 
 def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
     n, k = plan.n, plan.k
 
-    def index_area(g: LayerFunction, points: Iterable[int], t: int) -> Message:
-        """The t-bit bucket index of g(r) for each point r, in order, packed
-        into one int with the first point's index highest."""
-        value = count = 0
-        limit = 1 << t
-        for r in points:
-            index = bucket_index(t, n, g(r)) - 1
-            if not 0 <= index < limit:
-                raise ValueError(f"{index} does not fit in {t} bits")
-            value = (value << t) | index
-            count += 1
-        return Message.from_uint(value, count * t)
+    def index_area(values: Sequence[int], t: int) -> Message:
+        """The t-bit bucket indices of `values`, packed in order, first highest."""
+        table = _bucket_table(t, n)
+        area = 0
+        for v in values:
+            area = (area << t) | table[v]
+        return Message.from_uint(area, len(values) * t)
 
     def speak_first(view: PlayerView) -> Message:
         # view.suffix is the collapsed suffix of layer 1
-        return index_area(view.suffix, range(1, n + 1), plan.width(1))
+        return index_area(view.suffix.values, plan.width(1))
 
     def announcer_for(j: int) -> Callable[[PlayerView], Message]:
         def speak_buckets(view: PlayerView) -> Message:
             if j > plan.terminal:
                 return Message()
             walk_point = follow_pointers(view.start, view.prefix_layers)
-            bucket = _bucket_of_walk(view, plan, j, walk_point)
-            members = set(bucket_members(plan.width(j - 1), n, bucket))
-            g = view.suffix
-            survivors = tuple(s for s in range(1, n + 1) if g(s) in members)
-            indicator = sum(1 << (n - s) for s in survivors)
-            return Message.from_uint(indicator, n) + index_area(g, survivors, plan.width(j))
+            target = _bucket_of_walk(view, plan, j, walk_point) - 1
+            prev_table, indicator, kept = _bucket_table(plan.width(j - 1), n), 0, []
+            for v in view.suffix.values:  # g(s) for s = 1 .. n
+                survives = prev_table[v] == target
+                indicator = (indicator << 1) | survives
+                if survives:
+                    kept.append(v)
+            return Message.from_uint(indicator, n) + index_area(kept, plan.width(j))
 
         return speak_buckets
 
@@ -218,18 +224,9 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
             raise ProtocolInvariantError("terminal bucket is not a singleton")
         return encode_pointer(members[0], n)
 
-    players = (
-        speak_first,
-        *[announcer_for(j) for j in range(2, k)],
-        speak_answer,
-    )
+    players = (speak_first, *[announcer_for(j) for j in range(2, k)], speak_answer)
     return ProtocolHandle(
-        name=name,
-        k=k,
-        variant=Variant.MPJ_HAT,
-        view_kind=ViewKind.COLLAPSING,
-        players=players,
-        n=n,
+        name=name, k=k, variant=Variant.MPJ_HAT, view_kind=ViewKind.COLLAPSING, players=players, n=n
     )
 
 

@@ -18,7 +18,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .adversary import BoundRefusedError, build_fooling_inputs, verify_fooling
-from .bucketing import _parse_survivors
+from .bucketing import _announcement
 from .core import (
     BudgetExceededError,
     Instance,
@@ -109,10 +109,10 @@ def _instances(built: BuiltProtocol, args: argparse.Namespace) -> Iterable[Insta
 
 def _bucket_debug(built: BuiltProtocol, transcript) -> dict:
     plan = built.bucket_plan
-    survivors = {
-        str(j): list(_parse_survivors(transcript.messages[j - 1], plan.n, plan.width(j))[0])
-        for j in range(2, plan.terminal + 1)
-    }
+    survivors = {}
+    for j in range(2, plan.terminal + 1):
+        indicator, _ = _announcement(transcript.messages[j - 1], plan.n, plan.width(j))
+        survivors[str(j)] = [r for r in range(1, plan.n + 1) if indicator >> (plan.n - r) & 1]
     return {
         "widths": list(plan.widths[: built.handle.k - 1]),
         "terminal": plan.terminal,

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 class Variant(Enum):
@@ -56,6 +56,9 @@ def _check_point(n: int, value: int, what: str) -> None:
         raise ValueError(f"{what} must be an integer in [1, {n}], got {value!r}")
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _are_points(n: int, values: Sequence[int]) -> bool:
     """Fast test that every value is a plain int in [1, n].
 
@@ -65,7 +68,7 @@ def _are_points(n: int, values: Sequence[int]) -> bool:
     """
     return (
         type(values) is tuple
-        and all(type(v) is int for v in values)
+        and _INT_ONLY.issuperset(map(type, values))
         and min(values) >= 1
         and max(values) <= n
     )

@@ -10,6 +10,7 @@ import pytest
 
 from mpjlab.bucketing import (
     BucketPlan,
+    _bucket_table,
     bucket_index,
     bucket_members,
     bucket_width_plan,
@@ -132,6 +133,15 @@ class TestBuckets:
             for n in range(1, 71):
                 for j in range(1, 2**t + 1):
                     assert bucket_members(t, n, j) == ref_bucket_members(t, n, j)
+
+    def test_table_holds_every_index(self):
+        for t in range(0, 13):
+            for n in range(1, 65):
+                table = _bucket_table(t, n)
+                assert len(table) == n + 1
+                for v in range(1, n + 1):
+                    assert table[v] == bucket_index(t, n, v) - 1
+                    assert 0 <= table[v] < 2**t
 
     def test_size_law(self):
         for n in range(1, 65):

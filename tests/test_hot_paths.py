@@ -2,8 +2,9 @@
 
 Each reference below is the code the package ran before: per-element
 validation loops, one `fiber()` scan per point, one `chain_layers` /
-`compose_bits` per player or level, and covers built rotation by rotation
-with one modular index per point. The package's one-pass versions must
+`compose_bits` per player or level, covers built rotation by rotation
+with one modular index per point, and bucketing players that call the
+layer and `bucket_index` per point and parse announcements into tuples. The package's one-pass versions must
 accept, reject, count and compose exactly as these do, with the same
 error texts.
 """
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpjlab import core
 from mpjlab.core import (
     BitVector,
     LayerFunction,
@@ -39,9 +41,24 @@ from mpjlab.covers import (
     verify_sd_cover,
 )
 from mpjlab import sim
-from mpjlab.bucketing import bucketing_protocol
+from mpjlab.bucketing import (
+    bucket_index,
+    bucket_members,
+    bucket_width_plan,
+    bucketing_protocol,
+    bucketing_protocol_doubling,
+    doubling_plan,
+)
 from mpjlab.jump import SjChain, build_sj_chain, mpjk_sublinear, naive_perm_protocol
-from mpjlab.sim import Message, PlayerView, ViewKind, make_view
+from mpjlab.sim import (
+    Message,
+    PlayerView,
+    ProtocolHandle,
+    ProtocolInvariantError,
+    ViewKind,
+    encode_pointer,
+    make_view,
+)
 
 ALL_KINDS = (ViewKind.FULL_ONE_WAY, ViewKind.COLLAPSING, ViewKind.CONSERVATIVE_COLLAPSING)
 
@@ -52,6 +69,15 @@ ALL_KINDS = (ViewKind.FULL_ONE_WAY, ViewKind.COLLAPSING, ViewKind.CONSERVATIVE_C
 def ref_check_point(n, value, what):
     if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= n:
         raise ValueError(f"{what} must be an integer in [1, {n}], got {value!r}")
+
+
+def ref_are_points(n, values):
+    return (
+        type(values) is tuple
+        and all(type(v) is int for v in values)
+        and min(values) >= 1
+        and max(values) <= n
+    )
 
 
 def ref_layer(n, values):
@@ -197,6 +223,82 @@ def ref_make_view(inst, j, kind, messages):
     return PlayerView(**base, walked=walked, suffix=suffix)
 
 
+def ref_parse_survivors(msg, n, width):
+    if len(msg) < n:
+        raise ProtocolInvariantError("announcement shorter than its membership indicator")
+    indicator = msg.value >> (len(msg) - n)  # bit n - r flags point r
+    survivors = tuple(r for r in range(1, n + 1) if indicator >> (n - r) & 1)
+    indices = msg.slice(n, len(msg))
+    if len(indices) != len(survivors) * width:
+        raise ProtocolInvariantError("announcement index area has the wrong size")
+    return survivors, indices
+
+
+def ref_read_index(area, rank, width):
+    return area.slice(rank * width, (rank + 1) * width).to_uint() + 1
+
+
+def ref_bucket_of_walk(view, plan, j, walk_point):
+    prev = view.messages[j - 2]
+    prev_width = plan.width(j - 1)
+    if j == 2:
+        if len(prev) != view.n * prev_width:
+            raise ProtocolInvariantError("first announcement has the wrong size")
+        return ref_read_index(prev, walk_point - 1, prev_width)
+    survivors, indices = ref_parse_survivors(prev, view.n, prev_width)
+    if walk_point not in survivors:
+        raise ProtocolInvariantError("walk point missing from the surviving set")
+    return ref_read_index(indices, survivors.index(walk_point), prev_width)
+
+
+def ref_make_bucketing(plan, name):
+    """The bucketing players before they read ints: a checked layer call and
+    a `bucket_index` per point, survivors and indices parsed into tuples."""
+    n, k = plan.n, plan.k
+
+    def index_area(g, points, t):
+        value = count = 0
+        limit = 1 << t
+        for r in points:
+            index = bucket_index(t, n, g(r)) - 1
+            if not 0 <= index < limit:
+                raise ValueError(f"{index} does not fit in {t} bits")
+            value = (value << t) | index
+            count += 1
+        return Message.from_uint(value, count * t)
+
+    def speak_first(view):
+        return index_area(view.suffix, range(1, n + 1), plan.width(1))
+
+    def announcer_for(j):
+        def speak_buckets(view):
+            if j > plan.terminal:
+                return Message()
+            walk_point = follow_pointers(view.start, view.prefix_layers)
+            bucket = ref_bucket_of_walk(view, plan, j, walk_point)
+            members = set(bucket_members(plan.width(j - 1), n, bucket))
+            g = view.suffix
+            survivors = tuple(s for s in range(1, n + 1) if g(s) in members)
+            indicator = sum(1 << (n - s) for s in survivors)
+            return Message.from_uint(indicator, n) + index_area(g, survivors, plan.width(j))
+
+        return speak_buckets
+
+    def speak_answer(view):
+        walk_point = view.start
+        for j in range(2, plan.terminal + 2):
+            if j > 2:
+                walk_point = view.prefix_layers[j - 3](walk_point)
+            value = ref_bucket_of_walk(view, plan, j, walk_point)
+        members = bucket_members(plan.width(plan.terminal), n, value)
+        if len(members) != 1:
+            raise ProtocolInvariantError("terminal bucket is not a singleton")
+        return encode_pointer(members[0], n)
+
+    players = (speak_first, *[announcer_for(j) for j in range(2, k)], speak_answer)
+    return ProtocolHandle(name, k, Variant.MPJ_HAT, ViewKind.COLLAPSING, players, n)
+
+
 def built(cls, *args):
     """Construct and discard: the construction's outcome is the observation."""
     cls(*args)
@@ -217,6 +319,10 @@ class Point(IntEnum):
     ONE = 1
     TWO = 2
     THREE = 3
+
+
+class Ordinal(int):
+    """A plain int subclass: the fast test misses it, the per-value rule takes it."""
 
 
 class Bit(IntEnum):
@@ -285,7 +391,34 @@ def mostly_valid(draw, elements, good):
     return n, container(values)
 
 
+def point_like(n):
+    """Values around [1, n] of every type the fast point test must judge."""
+    return st.one_of(
+        st.integers(-1, n + 2),
+        st.booleans(),
+        st.sampled_from(list(Point)),
+        st.integers(-1, n + 2).map(Ordinal),
+        st.sampled_from([1.0, 2.0, 0.5, float("nan"), Fraction(1), Decimal(1)]),
+    )
+
+
 class TestValidation:
+    @settings(max_examples=500, deadline=None)
+    @given(mostly_valid(point_like, lambda n: st.integers(1, n)), st.integers(-1, 1))
+    def test_point_test_matches_the_old_rule(self, case, width_shift):
+        n, values = case
+        width = n + width_shift
+        assert outcome(core._are_points, width, values) == outcome(ref_are_points, width, values)
+        assert outcome(built, LayerFunction, width, values) == outcome(ref_layer, width, values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(), (1, 2), [1, 2], (True, 2), (Point.ONE, 2), (Ordinal(1), 2), (1.0, 2), (0, 2), (1, 3)],
+    )
+    def test_named_point_cases(self, values):
+        # the empty tuple raises from min() under both rules
+        assert outcome(core._are_points, 2, values) == outcome(ref_are_points, 2, values)
+
     @settings(max_examples=400, deadline=None)
     @given(mostly_valid(odd_values, lambda n: st.integers(1, n)), st.integers(-1, 1))
     def test_layer_function_accepts_and_rejects_as_before(self, case, width_shift):
@@ -554,3 +687,145 @@ class TestSuffixDerivation:
                 assert derivations[-1] is inst
         assert len(derivations) == runs == 12
         assert walks == []
+
+
+# -- bucketing players on ints ----------------------------------------------------
+
+BUCKETING = {
+    "bucketing": (bucketing_protocol, bucket_width_plan),
+    "bucketing-doubling": (bucketing_protocol_doubling, doubling_plan),
+}
+
+
+def bucketing_cases(name, k):
+    """(new handle, old handle, plan) for every n in 1..40 the plan admits."""
+    build, plan_of = BUCKETING[name]
+    for n in range(1, 41):
+        try:
+            plan = plan_of(n, k)
+        except ValueError as exc:  # doubling needs enough players
+            with pytest.raises(ValueError, match=str(exc)):
+                build(n, k)
+            continue
+        yield build(n, k), ref_make_bucketing(plan, name), plan
+
+
+def run_outcome(protocol, inst):
+    try:
+        t = sim.run(protocol, inst)
+    except Exception as exc:  # noqa: BLE001 - the exception is the observation
+        return (type(exc).__name__, str(exc))
+    return ("ok", tuple(m.to01() for m in t.messages), t.output, t.per_player_bits)
+
+
+def without_point(msg, n, width, point):
+    """`msg` with `point` taken out of the survivors, sizes kept consistent."""
+    bits = msg.to01()
+    survivors = [r for r in range(1, n + 1) if bits[r - 1] == "1"]
+    rank = survivors.index(point)
+    indicator = bits[: point - 1] + "0" + bits[point:n]
+    area = bits[n:]
+    return Message.from01(indicator + area[: rank * width] + area[(rank + 1) * width :])
+
+
+def tampered_boards(inst, messages, plan):
+    """(label, announcement j, tampered message, expected error text or None)."""
+    n = inst.n
+    first = messages[0]
+    yield "first-short", 1, first.slice(0, len(first) - 1), "first announcement has the wrong size"
+    for j in range(2, plan.terminal + 1):
+        msg, width = messages[j - 1], plan.width(j)
+        bits = msg.to01()
+        walk_point = follow_pointers(inst.i, inst.layers[: j - 1])
+        survivors = [r for r in range(1, n + 1) if bits[r - 1] == "1"]
+        rank = survivors.index(walk_point)
+        where = "first" if rank == 0 else "last" if rank == len(survivors) - 1 else "middle"
+        yield f"dropped-{where}", j, without_point(msg, n, width, walk_point), "walk point missing"
+        yield "area-truncated", j, msg.slice(0, len(msg) - 1), "index area has the wrong size"
+        yield "area-extended", j, msg + Message.from01("0"), "index area has the wrong size"
+        yield "indicator-short", j, msg.slice(0, n - 1), "shorter than its membership indicator"
+        if len(survivors) < n:
+            extra = next(r for r in range(1, n + 1) if bits[r - 1] == "0")
+            flagged = Message.from01(bits[: extra - 1] + "1" + bits[extra:])
+            yield "extra-indicator-bit", j, flagged, "index area has the wrong size"
+        # a wrong but well-formed index: the readers must still agree
+        at = n + rank * width
+        flipped = Message.from01(bits[:at] + ("1" if bits[at] == "0" else "0") + bits[at + 1 :])
+        yield "index-flipped", j, flipped, None
+
+
+TAMPER_CASES = [
+    ("bucketing", 16, 5), ("bucketing", 13, 6), ("bucketing", 40, 4), ("bucketing", 5, 3),
+    ("bucketing", 3, 7), ("bucketing-doubling", 16, 8), ("bucketing-doubling", 21, 5),
+]
+
+
+def tampered_runs(name, n, k):
+    """(instance, label, j, board, expected error) over 25 seeded runs: the
+    first k-1 messages with announcement j tampered."""
+    build, plan_of = BUCKETING[name]
+    plan = plan_of(n, k)
+    for inst in sample_instances(n, k, Variant.MPJ_HAT, (True,) * (k - 1), count=25, seed=n + k):
+        good = sim.run(build(n, k), inst).messages[: k - 1]
+        for label, j, msg, error in tampered_boards(inst, good, plan):
+            yield inst, label, j, good[: j - 1] + (msg,) + good[j:], error
+
+
+class TestBucketingPlayers:
+    @pytest.mark.parametrize("k", range(3, 10))
+    @pytest.mark.parametrize("name", sorted(BUCKETING))
+    def test_transcripts_match_the_old_players(self, name, k):
+        # every width 1..40: powers of two and not, and plans with more
+        # buckets than points (empty buckets)
+        widths = []
+        for new, old, plan in bucketing_cases(name, k):
+            n = plan.n
+            insts = [
+                *sample_instances(n, k, Variant.MPJ_HAT, (True,) * (k - 1), count=4, seed=n * k),
+                *sample_instances(n, k, Variant.MPJ_HAT, count=1, seed=n * k),
+            ]
+            for inst in insts:
+                got = run_outcome(new, inst)
+                assert got[0] == "ok"
+                assert got == run_outcome(old, inst)
+            widths.append(n)
+        assert widths[:2] == [1, 2] and (name == "bucketing-doubling" or len(widths) == 40)
+
+    @pytest.mark.parametrize("name, n, k", TAMPER_CASES)
+    def test_tampered_boards_raise_as_before(self, name, n, k):
+        build, plan_of = BUCKETING[name]
+        plan = plan_of(n, k)
+        new, old = build(n, k), ref_make_bucketing(plan, name)
+        seen = set()
+        for inst, label, j, board, error in tampered_runs(name, n, k):
+            seen.add(label)
+            # its successor reads announcement j unless it is past the
+            # terminal player and silent; the last player reads every one
+            for reader in sorted({j + 1, k}):
+                view = make_view(inst, reader, ViewKind.COLLAPSING, board[: reader - 1])
+                got = outcome(new.players[reader - 1], view)
+                assert got == outcome(old.players[reader - 1], view), (label, j, reader)
+                if error is not None and (reader == k or reader <= plan.terminal):
+                    assert got[0] == "ProtocolInvariantError" and error in got[1]
+        expected = {"first-short", "area-truncated", "area-extended", "indicator-short",
+                    "extra-indicator-bit", "index-flipped"}
+        if plan.terminal >= 2:
+            assert expected <= seen
+
+    def test_tampering_reaches_every_check(self):
+        # the walk point is dropped at the first, a middle and the last rank,
+        # and the last player meets each of its errors
+        labels, errors = set(), set()
+        for name, n, k in TAMPER_CASES:
+            last = BUCKETING[name][0](n, k).players[k - 1]
+            for inst, label, _, board, _ in tampered_runs(name, n, k):
+                labels.add(label)
+                errors.add(outcome(last, make_view(inst, k, ViewKind.COLLAPSING, board))[1])
+        assert {"dropped-first", "dropped-middle", "dropped-last"} <= labels
+        assert {
+            "first announcement has the wrong size",
+            "announcement shorter than its membership indicator",
+            "announcement index area has the wrong size",
+            "walk point missing from the surviving set",
+            "terminal bucket is not a singleton",
+        } <= errors
