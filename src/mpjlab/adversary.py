@@ -52,14 +52,14 @@ def iab_sets(x: BitVector, xp: BitVector) -> dict[tuple[int, int], tuple[int, ..
     if x.n != xp.n:
         raise ValueError("joint patterns need equal widths")
     out: dict[tuple[int, int], list[int]] = {p: [] for p in PATTERNS}
-    for r in range(1, x.n + 1):
-        out[(x(r), xp(r))].append(r)
+    for r, pattern in enumerate(zip(x.bits, xp.bits), start=1):
+        out[pattern].append(r)
     return {p: tuple(v) for p, v in out.items()}
 
 
 def is_crossing(x: BitVector, xp: BitVector) -> bool:
     """True when all four joint patterns occur."""
-    return all(iab_sets(x, xp)[p] for p in PATTERNS)
+    return all(iab_sets(x, xp).values())
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,17 @@ class CrossingPair:
     x: BitVector
     xp: BitVector
 
+    @functools.cached_property
+    def classes(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The four position classes, computed on first read and kept."""
+        return iab_sets(self.x, self.xp)
+
     def positions(self, a: int, b: int) -> tuple[int, ...]:
-        return iab_sets(self.x, self.xp)[(a, b)]
+        return self.classes[(a, b)]
 
     @property
     def crossing(self) -> bool:
-        return is_crossing(self.x, self.xp)
+        return all(self.classes.values())
 
 
 def max_message_bits(n: int) -> float:

@@ -1,8 +1,8 @@
 """Command-line front end: run, verify, bench, cover, attack, emit-plot-data.
 
 Exit codes: 0 on success, 1 when verification found failures (or an attack
-did not fool its target, or a player broke the protocol contract), 2 on
-usage/configuration errors. Output is a pure function of the arguments plus
+did not fool its target or found no crossed cell, or a player broke the
+protocol contract), 2 on usage/configuration errors. Output is a pure function of the arguments plus
 the seed; the default seed comes from the MPJLAB_SEED environment variable
 (0 when unset).
 """
@@ -17,7 +17,12 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .adversary import BoundRefusedError, build_fooling_inputs, verify_fooling
+from .adversary import (
+    BoundRefusedError,
+    CrossingSearchError,
+    build_fooling_inputs,
+    verify_fooling,
+)
 from .bucketing import _announcement
 from .core import (
     BudgetExceededError,
@@ -423,7 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UnknownProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolContractError, ProtocolInvariantError) as exc:
+    except (ProtocolContractError, ProtocolInvariantError, CrossingSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -75,6 +75,7 @@ def _are_points(n: int, values: Sequence[int]) -> bool:
 
 
 _BIT_VALUES = frozenset((0, 1))
+_BITS_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _are_bits(bits: Sequence[int]) -> bool:
@@ -168,7 +169,15 @@ class BitVector:
         return cls(len(text), tuple(int(c) for c in text))
 
     def to01(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        """The bits as "0"/"1" characters, each read as `b == 1` reads it.
+
+        Accepted bits need not be ints (True and 1.0 pass validation), so
+        bytes() may refuse them; the element loop then spells each one.
+        """
+        try:
+            return bytes(self.bits).translate(_BITS_TO_01).decode()
+        except (TypeError, ValueError):  # e.g. 1.0 or an unhashable zero
+            return "".join("1" if b == 1 else "0" for b in self.bits)
 
     def __call__(self, r: int) -> int:
         if not (type(r) is int and 0 < r <= self.n):

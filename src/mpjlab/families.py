@@ -1,7 +1,7 @@
 """Short-message collapsing protocols used as attack targets.
 
 These protocols are deliberately weak: every non-final player compresses
-her collapsed suffix into at most t bits (truncation, seeded parities, or
+their collapsed suffix into at most t bits (truncation, seeded parities, or
 a seeded hash), which is exactly the regime the fooling-pair construction
 defeats. The final player answers with some fixed deterministic rule; the
 attack never needs to know which.
@@ -52,7 +52,7 @@ def constant_protocol(n: int, k: int) -> ProtocolHandle:
 
 
 def truncating_protocol(n: int, k: int, t: int) -> ProtocolHandle:
-    """Every non-final player sends the first t bits of her collapsed suffix."""
+    """Every non-final player sends the first t bits of their collapsed suffix."""
     if not 0 <= t <= n:
         raise ValueError(f"truncation width {t} outside [0, {n}]")
 
@@ -67,22 +67,25 @@ def truncating_protocol(n: int, k: int, t: int) -> ProtocolHandle:
 
 
 def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
-    """Every non-final player sends t seeded mask parities of her suffix."""
+    """Every non-final player sends t seeded mask parities of their suffix."""
     if not 0 <= t <= n:
         raise ValueError(f"parity width {t} outside [0, {n}]")
-    masks: dict[int, list[tuple[int, ...]]] = {}
+    # each mask is packed as a Message packs the suffix, position 1 highest,
+    # so a parity is the popcount of one AND
+    masks: dict[int, tuple[int, ...]] = {}
     for j in range(1, k):
         rng = random.Random((seed << 16) + j)
-        masks[j] = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(t)]
+        masks[j] = tuple(
+            Message(tuple(rng.randint(0, 1) for _ in range(n))).value for _ in range(t)
+        )
 
     def speak(j: int) -> Callable[[PlayerView], Message]:
         own = masks[j]
 
         def fn(view: PlayerView) -> Message:
             suffix: BitVector = view.suffix
-            return Message(
-                tuple(sum(m * b for m, b in zip(mask, suffix.bits)) & 1 for mask in own)
-            )
+            x = Message(suffix.bits).value
+            return Message(tuple((mask & x).bit_count() & 1 for mask in own))
 
         return fn
 
@@ -90,7 +93,7 @@ def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
 
 
 def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
-    """Every non-final player sends t hash bits of her entire visible view."""
+    """Every non-final player sends t hash bits of their entire visible view."""
     limit = min(n, 256)  # a SHA-256 digest holds 256 bits
     if not 0 <= t <= limit:
         raise ValueError(f"hash width {t} outside [0, {limit}]")

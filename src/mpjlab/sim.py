@@ -33,6 +33,7 @@ from .core import (
     MpjInstance,
     Variant,
     _are_bits,
+    _BITS_TO_01,
     collapsed_suffixes,
     eval_instance,
     follow_pointers,
@@ -53,7 +54,6 @@ class ProtocolInvariantError(RuntimeError):
     """A protocol's internal invariant failed while composing its message."""
 
 
-_BITS_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
 _01_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _setattr = object.__setattr__
 _new = object.__new__

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mpjlab.adversary import CrossingSearchError
 from mpjlab.cli import SEED_ENV_VAR, main
 from mpjlab.core import Instance, LayerFunction, Variant, instance_from_dict, sample_instances
 from mpjlab import registry
@@ -647,6 +648,15 @@ class TestAttack:
         assert code == 2 and out == ""
         assert err.startswith("refused: ") and err.count("\n") == 1
         assert "201,326,589 message evaluations" in err and "13,166,010" in err
+
+    def test_failed_search_prints_one_error_line(self, capsys, monkeypatch):
+        def escaped(handle):
+            raise CrossingSearchError("all 35 message classes are crossing-free")
+
+        monkeypatch.setattr("mpjlab.cli.build_fooling_inputs", escaped)
+        code, out, err = run_cli(capsys, "attack", "--protocol", "truncate4", "--n", "8")
+        assert code == 1 and out == ""
+        assert err == "error: all 35 message classes are crossing-free\n"
 
 
 class TestSeedEnvironment:

@@ -107,6 +107,10 @@ class TestBitVector:
         assert (x(1), x(2), x(3), x(4)) == (0, 1, 0, 1)
         assert x.to01() == "0101"
 
+    def test_text_form_of_non_int_bits(self):
+        assert BitVector(3, (True, 0, 1.0)).to01() == "101"
+        assert BitVector(3, (False, 1, 0.0)).to01() == "010"
+
     def test_weight_and_complement(self):
         assert bits("0110").weight == 2
         assert bits("0110").complement() == bits("1001")
@@ -284,6 +288,13 @@ class TestJsonForms:
             "layers": [[3, 1, 2, 4]],
             "x": "0101",
         }
+        assert instance_from_dict(d) == inst
+
+    def test_round_trip_of_non_int_bits(self):
+        # True and 1.0 pass as bits; the text form reads them as 1
+        inst = MpjInstance(3, 3, 2, (layer(3, 1, 2),), BitVector(3, (True, 0, 1.0)))
+        d = instance_to_dict(inst)
+        assert d["x"] == "101"
         assert instance_from_dict(d) == inst
 
     def test_hat_round_trip_keeps_mask(self):

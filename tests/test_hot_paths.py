@@ -4,11 +4,15 @@ Each reference below is the code the package ran before: per-element
 validation loops, one `fiber()` scan per point, one `chain_layers` /
 `compose_bits` per player or level, covers built rotation by rotation
 with one modular index per point, and bucketing players that call the
-layer and `bucket_index` per point and parse announcements into tuples. The package's one-pass versions must
+layer and `bucket_index` per point and parse announcements into tuples; joint patterns read by 2n checked
+position calls, once per pattern and per `positions` read; parity players
+that sum mask products. The package's one-pass versions must
 accept, reject, count and compose exactly as these do, with the same
 error texts.
 """
 
+import dataclasses
+import itertools
 import random
 from decimal import Decimal
 from enum import IntEnum
@@ -49,7 +53,18 @@ from mpjlab.bucketing import (
     bucketing_protocol_doubling,
     doubling_plan,
 )
+from mpjlab import adversary
+from mpjlab.adversary import (
+    PATTERNS,
+    CrossingPair,
+    build_fooling_inputs,
+    half_weight_strings,
+    iab_sets,
+    is_crossing,
+)
+from mpjlab.families import parity_protocol
 from mpjlab.jump import SjChain, build_sj_chain, mpjk_sublinear, naive_perm_protocol
+from mpjlab.registry import build_protocol
 from mpjlab.sim import (
     Message,
     PlayerView,
@@ -297,6 +312,49 @@ def ref_make_bucketing(plan, name):
 
     players = (speak_first, *[announcer_for(j) for j in range(2, k)], speak_answer)
     return ProtocolHandle(name, k, Variant.MPJ_HAT, ViewKind.COLLAPSING, players, n)
+
+
+def ref_iab_sets(x, xp):
+    """Joint patterns read by 2n checked position calls."""
+    if x.n != xp.n:
+        raise ValueError("joint patterns need equal widths")
+    out = {p: [] for p in PATTERNS}
+    for r in range(1, x.n + 1):
+        out[(x(r), xp(r))].append(r)
+    return {p: tuple(v) for p, v in out.items()}
+
+
+def ref_is_crossing(x, xp):
+    """All four patterns, with the patterns recomputed for each one."""
+    return all(ref_iab_sets(x, xp)[p] for p in PATTERNS)
+
+
+def ref_positions(pair, a, b):
+    return ref_iab_sets(pair.x, pair.xp)[(a, b)]
+
+
+def ref_to01(x):
+    return "".join(str(b) for b in x.bits)
+
+
+def ref_parity_players(n, k, t, seed):
+    """The parity players before packing: mask tuples, one product sum per bit."""
+    masks = {}
+    for j in range(1, k):
+        rng = random.Random((seed << 16) + j)
+        masks[j] = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(t)]
+
+    def speak(j):
+        own = masks[j]
+
+        def fn(view):
+            return Message(
+                tuple(sum(m * b for m, b in zip(mask, view.suffix.bits)) & 1 for mask in own)
+            )
+
+        return fn
+
+    return tuple(speak(j) for j in range(1, k))
 
 
 def built(cls, *args):
@@ -829,3 +887,136 @@ class TestBucketingPlayers:
             "walk point missing from the surviving set",
             "terminal bucket is not a singleton",
         } <= errors
+
+
+# -- the fooling-pair attack ---------------------------------------------------
+
+
+def accepted_bits():
+    """Every kind of element a BitVector accepts as a bit."""
+    return st.one_of(
+        st.integers(0, 1),
+        st.booleans(),
+        st.sampled_from(list(Bit)),
+        st.sampled_from([1.0, 0.0, -0.0, 1 + 0j, Fraction(1), Decimal(0)]),
+        st.sampled_from([EqualsOneHashedElsewhere(), UnhashableZero()]),
+    )
+
+
+@st.composite
+def bit_vector_pairs(draw):
+    """Two bit vectors of any widths, usually equal, with accepted odd bits."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.sampled_from([n, n, n, n - 1, n + 1])) or 1
+    x, xp = (
+        BitVector(w, tuple(draw(st.lists(accepted_bits(), min_size=w, max_size=w))))
+        for w in (n, m)
+    )
+    return x, xp
+
+
+def counted_players(handle):
+    """The handle with players that tally their calls, and the tally."""
+    calls = [0] * handle.k
+
+    def counted(j, fn):
+        def player(view):
+            calls[j] += 1
+            return fn(view)
+
+        return player
+
+    players = tuple(counted(j, fn) for j, fn in enumerate(handle.players))
+    return dataclasses.replace(handle, players=players), calls
+
+
+def attack_outcome(handle):
+    """Evaluations per level, forced prefix messages and the fooling pair."""
+    counted, calls = counted_players(handle)
+    pair = build_fooling_inputs(counted)
+    return calls[: handle.k - 1], [m.to01() for m in pair.prefix_messages], pair.inst0, pair.inst1
+
+
+class TestAttackPaths:
+    @settings(max_examples=500, deadline=None)
+    @given(bit_vector_pairs())
+    def test_patterns_match_the_old_reads(self, vectors):
+        x, xp = vectors
+        assert outcome(iab_sets, x, xp) == outcome(ref_iab_sets, x, xp)
+        assert outcome(is_crossing, x, xp) == outcome(ref_is_crossing, x, xp)
+        for a, b in PATTERNS:
+            assert outcome(CrossingPair(x, xp).positions, a, b) == outcome(
+                ref_positions, CrossingPair(x, xp), a, b
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.lists(accepted_bits(), min_size=n, max_size=n)
+    ))
+    def test_text_form_reads_each_bit_as_one_or_zero(self, raw):
+        x = BitVector(len(raw), tuple(raw))
+        ints = tuple(int(b == 1) for b in raw)
+        assert x.to01() == ref_to01(BitVector(len(raw), ints))
+        assert BitVector.from01(x.to01()) == x
+
+    def test_every_half_weight_pair_at_width_eight(self):
+        layers = half_weight_strings(8)
+        for x in layers:
+            for xp in layers:
+                expected = ref_iab_sets(x, xp)
+                assert iab_sets(x, xp) == expected
+                assert list(expected) == list(PATTERNS)
+                assert is_crossing(x, xp) == ref_is_crossing(x, xp)
+                pair = CrossingPair(x, xp)
+                assert pair.crossing == ref_is_crossing(x, xp)
+                assert all(pair.positions(*p) == expected[p] for p in PATTERNS)
+
+    @pytest.mark.parametrize("seed", (0, 1, 37))
+    def test_parity_players_match_on_every_suffix(self, seed):
+        k = 3
+        for n in range(1, 11):
+            views = [
+                PlayerView(1, n, k, Variant.MPJ, ViewKind.COLLAPSING, (), suffix=BitVector(n, bits))
+                for bits in itertools.product((0, 1), repeat=n)
+            ]
+            # every width the family accepts, so every t up to the counting limit
+            for t in range(n + 1):
+                new = parity_protocol(n, k, t, seed=seed).players[: k - 1]
+                old = ref_parity_players(n, k, t, seed)
+                for fn, ref in zip(new, old):
+                    for view in views:
+                        assert fn(view) == ref(view)
+
+    def test_a_pair_computes_its_patterns_once(self, monkeypatch):
+        calls = []
+
+        def counted(x, xp):
+            calls.append((x, xp))
+            return ref_iab_sets(x, xp)
+
+        monkeypatch.setattr(adversary, "iab_sets", counted)
+        x, xp = BitVector.from01("00110101"), BitVector.from01("01010011")
+        pair = CrossingPair(x, xp)
+        for _ in range(9):
+            for p in PATTERNS:
+                assert pair.positions(*p) == ref_iab_sets(x, xp)[p]
+        assert pair.crossing
+        assert calls == [(x, xp)]
+        assert CrossingPair(x, xp) == pair
+
+    @pytest.mark.parametrize("seed", (1, 37))
+    @pytest.mark.parametrize("name", ("truncate4", "parity4", "hash4"))
+    def test_attack_search_is_unchanged(self, monkeypatch, name, seed):
+        handle = build_protocol(name, n=16, k=4, seed=seed).handle
+        got = attack_outcome(handle)
+        monkeypatch.setattr(adversary, "iab_sets", ref_iab_sets)
+        monkeypatch.setattr(adversary, "is_crossing", ref_is_crossing)
+        monkeypatch.setattr(CrossingPair, "positions", ref_positions)
+        monkeypatch.setattr(BitVector, "to01", ref_to01)
+        if name.startswith("parity"):
+            old_players = ref_parity_players(16, 4, 4, seed) + handle.players[3:]
+            handle = dataclasses.replace(handle, players=old_players)
+        assert got == attack_outcome(handle)
+        evaluations, messages, _, _ = got
+        # 4-bit messages: a level stops within 2^(t+1) + 1 evaluations
+        assert all(0 < e <= 33 for e in evaluations) and all(len(m) == 4 for m in messages)
