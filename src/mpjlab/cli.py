@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 when verification found failures (or an attack
 did not fool its target or found no crossed cell, or a player broke the
-protocol contract), 2 on usage/configuration errors. Output is a pure function of the arguments plus
-the seed; the default seed comes from the MPJLAB_SEED environment variable
-(0 when unset).
+protocol contract), 2 on usage/configuration errors. Output is a pure
+function of the arguments plus the seed; the default seed comes from the
+MPJLAB_SEED environment variable (0 when unset).
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .adversary import (
-    BoundRefusedError,
-    CrossingSearchError,
-    build_fooling_inputs,
-    verify_fooling,
-)
+from .adversary import BoundRefusedError, CrossingSearchError, build_fooling_inputs, verify_fooling
 from .bucketing import _announcement
 from .core import (
     BudgetExceededError,

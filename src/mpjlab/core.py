@@ -176,7 +176,7 @@ class BitVector:
         """
         try:
             return bytes(self.bits).translate(_BITS_TO_01).decode()
-        except (TypeError, ValueError):  # e.g. 1.0 or an unhashable zero
+        except (TypeError, ValueError):
             return "".join("1" if b == 1 else "0" for b in self.bits)
 
     def __call__(self, r: int) -> int:

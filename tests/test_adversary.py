@@ -35,7 +35,7 @@ from mpjlab.families import (
     truncating_protocol,
 )
 from mpjlab.jump import index_protocol
-from mpjlab.sim import Message, PlayerView, ProtocolHandle, ViewKind, run
+from mpjlab.sim import Message, ProtocolHandle, ViewKind, run
 
 
 def bits(text):
@@ -375,21 +375,12 @@ class TestFamilies:
     def test_equal_views_give_equal_hash_messages(self):
         # (True, 0) * 8 equals (1, 0) * 8, so the hash must not tell them apart
         proto = hashing_protocol(16, 3, 8)
-        for j in (1, 2):
-            views = [
-                PlayerView(
-                    j, 16, 3, Variant.MPJ, ViewKind.COLLAPSING, (Message.from01("0110"),) * (j - 1),
-                    start=None if j == 1 else 3, prefix_layers=(), suffix=BitVector(16, x * 8),
-                )
-                for x in ((1, 0), (True, 0))
-            ]
-            assert views[0] == views[1]
-            assert proto.players[j - 1](views[0]) == proto.players[j - 1](views[1])
-        runs = [
-            run(proto, MpjInstance(16, 3, 5, (LayerFunction.identity(16),), BitVector(16, x * 8)))
+        insts = [
+            MpjInstance(16, 3, 5, (LayerFunction.identity(16),), BitVector(16, x * 8))
             for x in ((1, 0), (True, 0))
         ]
-        assert runs[0].messages == runs[1].messages
+        assert insts[0] == insts[1]
+        assert run(proto, insts[0]).messages == run(proto, insts[1]).messages
 
     def test_all_families_answer_deterministically(self):
         inst = MpjInstance(8, 3, 5, (LayerFunction.identity(8),), bits("00110101"))

@@ -107,10 +107,6 @@ class TestBitVector:
         assert (x(1), x(2), x(3), x(4)) == (0, 1, 0, 1)
         assert x.to01() == "0101"
 
-    def test_text_form_of_non_int_bits(self):
-        assert BitVector(3, (True, 0, 1.0)).to01() == "101"
-        assert BitVector(3, (False, 1, 0.0)).to01() == "010"
-
     def test_weight_and_complement(self):
         assert bits("0110").weight == 2
         assert bits("0110").complement() == bits("1001")

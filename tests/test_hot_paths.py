@@ -3,12 +3,12 @@
 Each reference below is the code the package ran before: per-element
 validation loops, one `fiber()` scan per point, one `chain_layers` /
 `compose_bits` per player or level, covers built rotation by rotation
-with one modular index per point, and bucketing players that call the
-layer and `bucket_index` per point and parse announcements into tuples; joint patterns read by 2n checked
-position calls, once per pattern and per `positions` read; parity players
-that sum mask products. The package's one-pass versions must
-accept, reject, count and compose exactly as these do, with the same
-error texts.
+with one modular index per point, bucketing players that call the layer
+and `bucket_index` per point and parse announcements into tuples, joint
+patterns read by 2n checked position calls (once per pattern and once per
+`positions` read), and parity players that sum mask products. The
+package's one-pass versions must accept, reject, count and compose
+exactly as these do, with the same error texts.
 """
 
 import dataclasses
@@ -934,7 +934,8 @@ def attack_outcome(handle):
     """Evaluations per level, forced prefix messages and the fooling pair."""
     counted, calls = counted_players(handle)
     pair = build_fooling_inputs(counted)
-    return calls[: handle.k - 1], [m.to01() for m in pair.prefix_messages], pair.inst0, pair.inst1
+    messages = [m.to01() for m in pair.prefix_messages]
+    return calls[: handle.k - 1], messages, pair.inst0, pair.inst1
 
 
 class TestAttackPaths:
@@ -976,8 +977,8 @@ class TestAttackPaths:
         k = 3
         for n in range(1, 11):
             views = [
-                PlayerView(1, n, k, Variant.MPJ, ViewKind.COLLAPSING, (), suffix=BitVector(n, bits))
-                for bits in itertools.product((0, 1), repeat=n)
+                PlayerView(1, n, k, Variant.MPJ, ViewKind.COLLAPSING, (), suffix=BitVector(n, x))
+                for x in itertools.product((0, 1), repeat=n)
             ]
             # every width the family accepts, so every t up to the counting limit
             for t in range(n + 1):
