@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj
+from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj, follow_pointers
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind, run
 
 
@@ -230,9 +230,10 @@ def build_fooling_inputs(protocol: ProtocolHandle) -> FoolingPair:
 
     def cell_of(j: int, start: int | None, layers, messages) -> tuple[Message, CrossingPair]:
         """Player j's first crossed cell over the suffixes it may be shown."""
+        walked = None if start is None else follow_pointers(start, layers)  # once per level
         view = functools.partial(
             PlayerView, j=j, n=n, k=k, variant=Variant.MPJ, kind=ViewKind.COLLAPSING,
-            messages=messages, start=start, prefix_layers=layers,
+            messages=messages, start=start, walked=walked, prefix_layers=layers,
         )
         fn = protocol.players[j - 1]
         return find_crossed_cell(

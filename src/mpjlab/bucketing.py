@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .core import Variant, follow_pointers
+from .core import Variant
 from .sim import (
     Message,
     PlayerView,
@@ -199,8 +199,7 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
         def speak_buckets(view: PlayerView) -> Message:
             if j > plan.terminal:
                 return Message()
-            walk_point = follow_pointers(view.start, view.prefix_layers)
-            target = _bucket_of_walk(view, plan, j, walk_point) - 1
+            target = _bucket_of_walk(view, plan, j, view.walked) - 1
             prev_table, indicator, kept = _bucket_table(plan.width(j - 1), n), 0, []
             for v in view.suffix.values:  # g(s) for s = 1 .. n
                 survives = prev_table[v] == target

@@ -74,6 +74,22 @@ def _are_points(n: int, values: Sequence[int]) -> bool:
     )
 
 
+_setattr = object.__setattr__
+_new = object.__new__
+
+
+def _trusted(cls, n, data):
+    """A LayerFunction or BitVector built without its checks, for values
+    derived from checked ones (a composition, a read-through, a cover
+    member), which are valid by construction. Public constructors keep
+    every check; this serves them as `sim._packed` serves `Message`.
+    `data` fills the second field: `values` or `bits`."""
+    obj = _new(cls)
+    _setattr(obj, "n", n)
+    _setattr(obj, cls.__match_args__[1], data)
+    return obj
+
+
 _BIT_VALUES = frozenset((0, 1))
 _BITS_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -136,7 +152,7 @@ class LayerFunction:
         """The composition self(inner(.)): apply `inner` first."""
         if inner.n != self.n:
             raise ValueError("composition requires matching widths")
-        return LayerFunction(self.n, tuple([self.values[v - 1] for v in inner.values]))
+        return _trusted(LayerFunction, self.n, tuple([self.values[v - 1] for v in inner.values]))
 
     def inverse(self) -> "LayerFunction":
         if not self.is_permutation:
@@ -195,7 +211,7 @@ class BitVector:
         """The bit layer self(f(.)): read position f(r) for each r."""
         if f.n != self.n:
             raise ValueError("composition requires matching widths")
-        return BitVector(self.n, tuple([self.bits[v - 1] for v in f.values]))
+        return _trusted(BitVector, self.n, tuple([self.bits[v - 1] for v in f.values]))
 
 
 def follow_pointers(start: int, layers: Sequence[LayerFunction]) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import LayerFunction
+from .core import LayerFunction, _trusted
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,8 @@ def _cover(f: LayerFunction, scope: frozenset[int] | None, d: int) -> CoverSet:
     With scope None, fibers and blocks both ascend. With a scope, fibers
     list their in-scope points first and each block puts its output value
     last, so that member ell sends the ell-th fiber point to that value.
+    Members are permutations of [n] by construction, so they skip
+    LayerFunction's checks; CoverSet still checks each one.
     """
     n = f.n
     # a one-point fiber's block is its own value: base keeps f there and
@@ -151,7 +153,7 @@ def _cover(f: LayerFunction, scope: frozenset[int] | None, d: int) -> CoverSet:
     member = base
     for _ in range(d):
         member = tuple([step[v - 1] for v in member])
-        perms.append(LayerFunction(n, member))
+        perms.append(_trusted(LayerFunction, n, member))
     return CoverSet(tuple(perms), d, f, scope)
 
 

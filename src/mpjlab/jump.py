@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .core import (
-    BitVector,
-    LayerFunction,
-    Variant,
-    bit_suffixes,
-    follow_pointers,
-)
+from .core import BitVector, LayerFunction, Variant, bit_suffixes
 from .covers import CoverSet, _fiber_sizes, build_d_cover, build_sd_cover
 from .sim import (
     Message,
@@ -35,6 +29,7 @@ from .sim import (
     ProtocolHandle,
     ProtocolInvariantError,
     ViewKind,
+    _packed,
 )
 
 
@@ -55,13 +50,16 @@ class PermProtocol3:
 
 
 def naive_perm_protocol(n: int) -> PermProtocol3:
-    """Baseline subprotocol with m = n: ship x, reply zeros, read position pi(i)."""
+    """Baseline subprotocol with m = n: ship x (packed from its checked text
+    form), reply one shared zero message (messages are immutable), read
+    position pi(i)."""
+    zero = Message.from_uint(0, n)
 
     def alpha(pi: LayerFunction, x: BitVector) -> Message:
-        return Message(x.bits)
+        return _packed(int(x.to01(), 2), x.n)
 
     def beta(i: int, x: BitVector, a: Message) -> Message:
-        return Message.from_uint(0, n)
+        return zero
 
     def gamma(i: int, pi: LayerFunction, a: Message, b: Message) -> int:
         return a.bit(pi(i) - 1)
@@ -152,12 +150,12 @@ def build_sj_chain(middles: Sequence[LayerFunction], d: int) -> SjChain:
     if d < 1:
         raise ValueError("d must be at least 1")
     n = middles[0].n
-    if any(f.n != n for f in middles):
-        raise ValueError("chain layers must share one width")
     levels = [frozenset(range(1, n + 1))]
     for f in middles:
-        counts = _fiber_sizes(f, levels[-1])
-        levels.append(frozenset(s for s in range(1, n + 1) if counts[s] > d))
+        if f.n != n:
+            raise ValueError("chain layers must share one width")
+        counts = _fiber_sizes(f, levels[-1])  # counts[0] stays 0, never over d
+        levels.append(frozenset([s for s, c in enumerate(counts) if c > d]))
     return SjChain(n, d, tuple(levels))
 
 
@@ -208,19 +206,21 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
     def speak_openings(view: PlayerView) -> Message:
         middles = view.later_layers
         x = view.final_bits
-        chain = build_sj_chain(middles, d)
+        levels = build_sj_chain(middles, d).levels  # levels[lvl - 1] is S_lvl
         suffixes = bit_suffixes(x, middles)  # suffixes[lvl] collapses middles[lvl:]
         parts = []
         for lvl in range(1, k - 1):
-            cover = _level_cover(middles[lvl - 1], chain.level(lvl), d, view.n)
+            cover = _level_cover(middles[lvl - 1], levels[lvl - 1], d, view.n)
             parts.append(_alpha_block(P, cover, suffixes[lvl]))
-        last = sorted(chain.level(k - 1))
-        parts.append(Message.from_bits(x(s) for s in last))
+        last, raw = sorted(levels[k - 2]), 0
+        for s in last:  # the checked bits, read as Message reads them
+            raw = (raw << 1) | (x.bits[s - 1] == 1)
+        parts.append(_packed(raw, len(last)))
         return Message.concat(parts)
 
     def replies_for(j: int) -> Callable[[PlayerView], Message]:
         def speak_replies(view: PlayerView) -> Message:
-            pointer = follow_pointers(view.start, view.prefix_layers)
+            pointer = view.walked
             alphas = view.messages[0].slice((j - 2) * d * m, (j - 1) * d * m)
             return _beta_block(P, pointer, view.suffix, alphas, d)
 
@@ -228,29 +228,28 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
 
     def speak_answer(view: PlayerView) -> Message:
         middles = view.prefix_layers
-        chain = build_sj_chain(middles, d)
+        levels = build_sj_chain(middles, d).levels  # levels[lvl - 1] is S_lvl
         walk = [view.start]
-        for f in middles:
-            walk.append(f(walk[-1]))
+        for f in middles:  # checked layers from a checked start
+            walk.append(f.values[walk[-1] - 1])
         # walk[t] enters layer t+2; the level-lvl pointer is walk[lvl-1]
         for lvl in range(1, k - 1):
             pointer, target = walk[lvl - 1], walk[lvl]
-            if target in chain.level(lvl + 1):  # heavy: its fiber in S_lvl exceeds d
+            if target in levels[lvl]:  # heavy: its fiber in S_lvl exceeds d
                 continue
-            cover = _level_cover(middles[lvl - 1], chain.level(lvl), d, view.n)
+            cover = _level_cover(middles[lvl - 1], levels[lvl - 1], d, view.n)
             for ell, pi in enumerate(cover.perms):
-                if pi(pointer) == target:
+                if pi.values[pointer - 1] == target:
                     a0 = view.messages[0].slice(
                         ((lvl - 1) * d + ell) * m, ((lvl - 1) * d + ell + 1) * m
                     )
                     b0 = view.messages[lvl].slice(ell * m, (ell + 1) * m)
                     return Message.from_uint(P.gamma(pointer, pi, a0, b0), 1)
             raise ProtocolInvariantError("cover misses a surviving light point")
-        last = sorted(chain.level(k - 1))
         end = walk[-1]
-        if end not in chain.level(k - 1):
+        if end not in levels[k - 2]:
             raise ProtocolInvariantError("walk point escaped the surviving chain")
-        bit = view.messages[0].bit((k - 2) * d * m + last.index(end))
+        bit = view.messages[0].bit((k - 2) * d * m + sorted(levels[k - 2]).index(end))
         return Message.from_uint(bit, 1)
 
     players = (

@@ -10,10 +10,14 @@ the last message encodes the output. Views come in three shapes:
 * conservative collapsing: only the walk point entering layer j, plus the
   collapsed suffix.
 
-Views are plain frozen values that simply do not contain invisible data,
-so reading outside the view is structurally impossible. The runtime calls
-every message function twice and requires bit-identical results, which
-catches hidden state or stray randomness.
+Every view also carries the walk point entering layer j; the full and
+collapsing views show the start and prefix it follows from, so it adds
+nothing a player could not compute. Views are plain frozen values that
+simply do not contain invisible data, so reading outside the view is
+structurally impossible. A run derives the collapsed suffixes (O(kn)) and
+the walk points (O(k)) once and projects all k views from them. The
+runtime calls every message function twice and requires bit-identical
+results, which catches hidden state or stray randomness.
 
 Costs are reported two ways: the full transcript length, and the length
 without the final output message (upper-bound formulas exclude the output).
@@ -34,9 +38,10 @@ from .core import (
     Variant,
     _are_bits,
     _BITS_TO_01,
+    _new,
+    _setattr,
     collapsed_suffixes,
     eval_instance,
-    follow_pointers,
 )
 
 
@@ -55,8 +60,6 @@ class ProtocolInvariantError(RuntimeError):
 
 
 _01_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_setattr = object.__setattr__
-_new = object.__new__
 
 
 class Message:
@@ -211,11 +214,12 @@ class PlayerView:
 
     Populated fields depend on the view kind; absent data is None/empty.
     `start` is the first-layer pointer (hidden from player 1), `walked` the
-    conservative walk point entering layer j, `prefix_layers` the
-    individually visible middle layers before j, `later_layers` the
-    individually visible layers after j (full one-way only), `final_bits`
-    the Boolean final layer when individually visible, and `suffix` the
-    collapsed composition of everything after layer j.
+    walk point entering layer j (in every kind, and None for player 1),
+    `prefix_layers` the individually visible middle layers before j,
+    `later_layers` the individually visible layers after j (full one-way
+    only), `final_bits` the Boolean final layer when individually visible,
+    and `suffix` the collapsed composition of everything after layer j.
+    Where `start` and `prefix_layers` show, `walked` is their walk's end.
     """
 
     j: int
@@ -232,54 +236,48 @@ class PlayerView:
     suffix: BitVector | LayerFunction | None = None
 
 
-# The collapsed suffixes of the last instance projected, so that the k views
-# of one run share a single derivation. The entry holds its instance and is
-# matched by identity, so it can never answer for another instance.
-_last_derived: tuple[Instance, tuple[BitVector | LayerFunction, ...]] | None = None
-
-
-def _suffixes(inst: Instance) -> tuple[BitVector | LayerFunction, ...]:
-    global _last_derived
-    last = _last_derived
-    if last is not None and last[0] is inst:
-        return last[1]
-    suffixes = collapsed_suffixes(inst)
-    _last_derived = (inst, suffixes)
-    return suffixes
+def _derive(inst: Instance) -> tuple:
+    """What every view of one run is projected from, derived once: the
+    function layers, the collapsed suffix after each layer (O(kn); None for
+    the Boolean last player, whose own layer is x), the walk points (O(k)),
+    walk[j-1] entering layer j and None for player 1, and x or None."""
+    boolean = isinstance(inst, MpjInstance)
+    layers = inst.middles if boolean else inst.layers
+    walk = [None, inst.i]
+    for f in layers[: inst.k - 2]:
+        walk.append(f(walk[-1]))
+    if boolean:
+        return layers, collapsed_suffixes(inst) + (None,), walk, inst.x
+    return layers, collapsed_suffixes(inst), walk, None
 
 
 def make_view(
-    inst: Instance, j: int, kind: ViewKind, messages: tuple[Message, ...]
+    inst: Instance, j: int, kind: ViewKind, messages: tuple[Message, ...], *, derived=None
 ) -> PlayerView:
-    """Project an instance onto player j's view of the given kind."""
+    """Project an instance onto player j's view of the given kind.
+
+    `run` passes `derived`, its one `_derive(inst)` for all k views; without
+    it the view derives its own. The fields are set in one update, not by
+    the frozen dataclass's one assignment per field.
+    """
     n, k = inst.n, inst.k
     if not 1 <= j <= k:
         raise ValueError(f"player index {j} outside [1, {k}]")
-    base = dict(j=j, n=n, k=k, variant=inst.variant, kind=kind, messages=messages)
-    boolean = isinstance(inst, MpjInstance)
-    layers = inst.middles if boolean else inst.layers
-    # the Boolean last player has no suffix: x is their own layer
-    suffix = None if boolean and j == k else _suffixes(inst)[j - 1]
-
-    if kind is ViewKind.FULL_ONE_WAY:
-        return PlayerView(
-            **base,
-            start=inst.i if j != 1 else None,
-            prefix_layers=layers[: j - 2] if j >= 2 else (),
-            later_layers=layers[j - 1 :],
-            final_bits=inst.x if boolean and j != k else None,
-            suffix=suffix,
-        )
-    if kind is ViewKind.COLLAPSING:
-        return PlayerView(
-            **base,
-            start=inst.i if j != 1 else None,
-            prefix_layers=layers[: j - 2] if j >= 2 else (),
-            suffix=suffix,
-        )
-    # conservative collapsing: only the walk point and the collapsed suffix
-    walked = follow_pointers(inst.i, layers[: j - 2]) if j >= 2 else None
-    return PlayerView(**base, walked=walked, suffix=suffix)
+    layers, suffixes, walk, x = derived or _derive(inst)
+    full = kind is ViewKind.FULL_ONE_WAY
+    # a conservative view shows only the walk point and the collapsed suffix
+    shown = j >= 2 and kind is not ViewKind.CONSERVATIVE_COLLAPSING
+    view = _new(PlayerView)
+    vars(view).update(
+        j=j, n=n, k=k, variant=inst.variant, kind=kind, messages=messages,
+        start=inst.i if shown else None,
+        walked=walk[j - 1],
+        prefix_layers=layers[: j - 2] if shown else (),
+        later_layers=layers[j - 1 :] if full else None,
+        final_bits=x if full and j != k else None,
+        suffix=suffixes[j - 1],
+    )
+    return view
 
 
 @dataclass(frozen=True)
@@ -355,10 +353,10 @@ def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
     if protocol.n is not None and inst.n != protocol.n:
         raise ValueError(f"protocol expects n={protocol.n}, instance has n={inst.n}")
 
+    derived = _derive(inst)
     messages: list[Message] = []
-    for j in range(1, protocol.k + 1):
-        view = make_view(inst, j, protocol.view_kind, tuple(messages))
-        fn = protocol.players[j - 1]
+    for j, fn in enumerate(protocol.players, start=1):
+        view = make_view(inst, j, protocol.view_kind, tuple(messages), derived=derived)
         msg = fn(view)
         replay = fn(view)
         if not isinstance(msg, Message):

@@ -6,9 +6,11 @@ validation loops, one `fiber()` scan per point, one `chain_layers` /
 with one modular index per point, bucketing players that call the layer
 and `bucket_index` per point and parse announcements into tuples, joint
 patterns read by 2n checked position calls (once per pattern and once per
-`positions` read), and parity players that sum mask products. The
-package's one-pass versions must accept, reject, count and compose
-exactly as these do, with the same error texts.
+`positions` read), parity players that sum mask products, views and
+players that walk their own prefix, and derived layers, bit layers and
+messages built by the validating constructors. The package's one-pass and
+trusted versions must accept, reject, count and compose exactly as these
+do, with the same error texts.
 """
 
 import dataclasses
@@ -63,7 +65,14 @@ from mpjlab.adversary import (
     is_crossing,
 )
 from mpjlab.families import parity_protocol
-from mpjlab.jump import SjChain, build_sj_chain, mpjk_sublinear, naive_perm_protocol
+from mpjlab.jump import (
+    PermProtocol3,
+    SjChain,
+    build_sj_chain,
+    mpjk_sublinear,
+    naive_perm_protocol,
+)
+from mpjlab.cli import main as cli_main
 from mpjlab.registry import build_protocol
 from mpjlab.sim import (
     Message,
@@ -218,10 +227,13 @@ def ref_make_view(inst, j, kind, messages):
         suffix = compose_bits(inst.x, inst.middles[j - 1 :]) if j < k else None
     else:
         suffix = chain_layers(layers[j - 1 :], n)
+    # every kind shows the walk point entering layer j, walked per view
+    walked = follow_pointers(inst.i, layers[: j - 2]) if j >= 2 else None
     if kind is ViewKind.FULL_ONE_WAY:
         return PlayerView(
             **base,
             start=inst.i if j != 1 else None,
+            walked=walked,
             prefix_layers=layers[: j - 2] if j >= 2 else (),
             later_layers=layers[j - 1 :],
             final_bits=inst.x if boolean and j != k else None,
@@ -231,10 +243,10 @@ def ref_make_view(inst, j, kind, messages):
         return PlayerView(
             **base,
             start=inst.i if j != 1 else None,
+            walked=walked,
             prefix_layers=layers[: j - 2] if j >= 2 else (),
             suffix=suffix,
         )
-    walked = follow_pointers(inst.i, layers[: j - 2]) if j >= 2 else None
     return PlayerView(**base, walked=walked, suffix=suffix)
 
 
@@ -355,6 +367,70 @@ def ref_parity_players(n, k, t, seed):
         return fn
 
     return tuple(speak(j) for j in range(1, k))
+
+
+def ref_mpjk_players(P, d, k):
+    """The cover protocol's players before the runtime passed the walk point:
+    every reader walks with checked layer calls, reads levels through
+    `SjChain.level`, and builds messages with `Message`."""
+
+    def cover_of(f, scope, n):
+        return build_d_cover(f, d) if len(scope) == n else build_sd_cover(f, scope, d)
+
+    def speak_openings(view):
+        middles, x = view.later_layers, view.final_bits
+        chain = build_sj_chain(middles, d)
+        parts = []
+        for lvl in range(1, k - 1):
+            suffix = compose_bits(x, middles[lvl:])
+            cover = cover_of(middles[lvl - 1], chain.level(lvl), view.n)
+            parts += [P.alpha(pi, suffix) for pi in cover.perms]
+        parts.append(Message.from_bits(x(s) for s in sorted(chain.level(k - 1))))
+        return Message.concat(parts)
+
+    def replies_for(j):
+        def speak_replies(view):
+            pointer = follow_pointers(view.start, view.prefix_layers)
+            alphas = view.messages[0].slice((j - 2) * d * P.m, (j - 1) * d * P.m)
+            return Message.concat(P.beta(pointer, view.suffix, a) for a in alphas.chunks(P.m))
+
+        return speak_replies
+
+    def speak_answer(view):
+        middles, m = view.prefix_layers, P.m
+        chain = build_sj_chain(middles, d)
+        walk = [view.start]
+        for f in middles:
+            walk.append(f(walk[-1]))
+        for lvl in range(1, k - 1):
+            pointer, target = walk[lvl - 1], walk[lvl]
+            if target in chain.level(lvl + 1):
+                continue
+            cover = cover_of(middles[lvl - 1], chain.level(lvl), view.n)
+            for ell, pi in enumerate(cover.perms):
+                if pi(pointer) == target:
+                    start = ((lvl - 1) * d + ell) * m
+                    a0 = view.messages[0].slice(start, start + m)
+                    b0 = view.messages[lvl].slice(ell * m, (ell + 1) * m)
+                    return Message.from_uint(P.gamma(pointer, pi, a0, b0), 1)
+            raise ProtocolInvariantError("cover misses a surviving light point")
+        last = sorted(chain.level(k - 1))
+        if walk[-1] not in chain.level(k - 1):
+            raise ProtocolInvariantError("walk point escaped the surviving chain")
+        return Message.from_uint(view.messages[0].bit((k - 2) * d * m + last.index(walk[-1])), 1)
+
+    return (speak_openings, *[replies_for(j) for j in range(2, k)], speak_answer)
+
+
+def ref_naive(n):
+    """The naive subprotocol before packing: each opening and reply built
+    by the validating constructors."""
+    return PermProtocol3(
+        n,
+        lambda pi, x: Message(x.bits),
+        lambda i, x, a: Message.from_uint(0, n),
+        lambda i, pi, a, b: a.bit(pi(i) - 1),
+    )
 
 
 def built(cls, *args):
@@ -704,8 +780,8 @@ class TestSuffixDerivation:
                 assert make_view(inst, j, kind, messages) == ref_make_view(inst, j, kind, messages)
 
     def test_interleaved_instances_get_their_own_views(self):
-        # views are projected from the last derived instance; alternating
-        # between instances (equal ones included) must never mix them up
+        # each view derives from its own instance; alternating between
+        # instances (equal ones included) must never mix them up
         a, b = list(sample_instances(4, 5, Variant.MPJ, count=2, seed=9))
         twin = MpjInstance(a.n, a.k, a.i, a.middles, a.x)
         hat = next(sample_instances(4, 5, Variant.MPJ_HAT, count=1, seed=9))
@@ -722,17 +798,34 @@ class TestSuffixDerivation:
                 for kind in ALL_KINDS:
                     assert make_view(inst, j, kind, ()) == ref_make_view(inst, j, kind, ())
 
-    def test_one_derivation_per_run_and_no_walk(self, monkeypatch):
-        # the k views of a run share one derivation; a run of another
-        # instance derives afresh; collapsing views never walk the prefix
-        derivations, walks = [], []
+    def test_one_derivation_and_one_walk_per_run(self, monkeypatch):
+        # the k views of a run share one derivation and one walk of k-2
+        # layer applications; a run of another instance derives afresh; the
+        # middle players read the walk point from their view, never walking
+        derivations, applications, speaker = [], [], [0]
 
         def counted(inst):
             derivations.append(inst)
             return collapsed_suffixes(inst)
 
+        apply = LayerFunction.__call__
+
+        def counted_apply(f, r):
+            applications.append(speaker[0])  # 0: the runtime itself
+            return apply(f, r)
+
+        def speaking(j, fn):
+            def player(view):
+                speaker[0] = j
+                try:
+                    return fn(view)
+                finally:
+                    speaker[0] = 0
+
+            return player
+
         monkeypatch.setattr(sim, "collapsed_suffixes", counted)
-        monkeypatch.setattr(sim, "follow_pointers", lambda *args: walks.append(args))
+        monkeypatch.setattr(LayerFunction, "__call__", counted_apply)
         mpjk = mpjk_sublinear(naive_perm_protocol(8), 2, 6)
         bucketing = bucketing_protocol(8, 5)
         booleans = sample_instances(8, 6, Variant.MPJ, count=3, seed=5)
@@ -740,11 +833,178 @@ class TestSuffixDerivation:
         runs = 0
         for a, b in zip(booleans, pointers):
             for protocol, inst in ((mpjk, a), (bucketing, b)) * 2:
-                sim.run(protocol, inst)
+                players = tuple(speaking(j, fn) for j, fn in enumerate(protocol.players, 1))
+                applications.clear()
+                sim.run(dataclasses.replace(protocol, players=players), inst)
                 runs += 1
                 assert derivations[-1] is inst
+                assert applications.count(0) == inst.k - 2
+                assert not [j for j in applications if 1 < j < inst.k]
         assert len(derivations) == runs == 12
-        assert walks == []
+
+
+# -- one projection per run --------------------------------------------------------
+
+
+def verify_text(name, samples, per_player):
+    """The text `mpjlab verify` prints for a clean sweep with these worst bits."""
+    total, prefix = sum(per_player), sum(per_player[:-1])
+    return (
+        f"protocol {name}: checked {samples} instances, 0 failures\n"
+        f"worst cost {total} bits total, {prefix} before the output message\n"
+        f"per-player max bits: {per_player}\n"
+        f"cost bound {prefix}: within\n"
+    )
+
+
+class TestOneWalkPerRun:
+    @pytest.mark.parametrize(
+        "argv, k, samples, per_player",
+        [
+            ("--protocol bucketing --n 4 --k 1024 --samples 1", 1024, 1, [4] + [6] * 1021 + [8, 2]),
+            ("--protocol mpjk-sublinear --n 8 --k 256 --d 2 --samples 4", 256, 4,
+             [4064] + [16] * 254 + [1]),
+        ],
+        ids=["bucketing", "mpjk-sublinear"],
+    )
+    def test_verify_makes_order_k_layer_applications(
+        self, monkeypatch, capsys, argv, k, samples, per_player
+    ):
+        # per run: the brute-force answer and the runtime's walk make at
+        # most k each, and the last player's walk, replayed, at most 2k; a
+        # walk per middle player made k^2/2 (1,046,529 and 260,116 here)
+        apply, calls = LayerFunction.__call__, [0]
+
+        def counted(f, r):
+            calls[0] += 1
+            return apply(f, r)
+
+        monkeypatch.setattr(LayerFunction, "__call__", counted)
+        assert cli_main(["verify", *argv.split()]) == 0
+        assert calls[0] < 4 * k * samples
+        name = argv.split()[1]
+        assert capsys.readouterr().out == verify_text(name, samples, per_player)
+
+
+# -- trusted derived values -------------------------------------------------------
+
+
+def accepted_points(n):
+    """Every kind of value a LayerFunction accepts as a point of [n]."""
+    return st.one_of(
+        st.integers(1, n),
+        st.integers(1, n).map(Ordinal),
+        st.sampled_from([p for p in Point if p <= n]),
+    )
+
+
+@st.composite
+def layer_chains(draw):
+    """A width, 0..4 layers of accepted points and a bit layer of accepted bits."""
+    n = draw(st.integers(1, 7))
+
+    def values(elements):
+        return tuple(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    layers = tuple(
+        LayerFunction(n, values(accepted_points(n))) for _ in range(draw(st.integers(0, 4)))
+    )
+    return n, layers, BitVector(n, values(accepted_bits()))
+
+
+def same_value(got, checked):
+    """Equal to the checked build, and hashed alike (or refused alike)."""
+    assert got == checked
+    assert outcome(hash, got) == outcome(hash, checked)
+
+
+class TestTrustedPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(layer_chains())
+    def test_derived_layers_equal_checked_builds(self, chain):
+        n, layers, x = chain
+        points = range(1, n + 1)
+        for f, g in itertools.product(layers, repeat=2):
+            same_value(f.after(g), LayerFunction(n, tuple(f.values[v - 1] for v in g.values)))
+        for f in layers:
+            same_value(x.through(f), BitVector(n, tuple(x.bits[v - 1] for v in f.values)))
+        same_value(
+            chain_layers(layers, n), LayerFunction(n, tuple(follow_pointers(r, layers) for r in points))
+        )
+        expected = [
+            BitVector(n, tuple(x.bits[follow_pointers(r, layers[t:]) - 1] for r in points))
+            for t in range(len(layers) + 1)
+        ]
+        for got, want in zip(bit_suffixes(x, layers), expected, strict=True):
+            same_value(got, want)
+        boolean = MpjInstance(n, len(layers) + 2, 1, layers, x)
+        for got, want in zip(collapsed_suffixes(boolean), expected, strict=True):
+            same_value(got, want)
+        if layers:
+            hat = MpjHatInstance(n, len(layers) + 1, 1, layers)
+            expected = [
+                LayerFunction(n, tuple(follow_pointers(r, layers[t:]) for r in points))
+                for t in range(len(layers) + 1)
+            ]
+            for got, want in zip(collapsed_suffixes(hat), expected, strict=True):
+                same_value(got, want)
+        for f in layers:
+            for d in (1, 2, 3):
+                for scope in (None, frozenset(range(1, n + 1, 2))):
+                    cover = build_d_cover(f, d) if scope is None else build_sd_cover(f, scope, d)
+                    for pi in cover.perms:
+                        same_value(pi, LayerFunction(n, pi.values))
+
+    def test_every_cover_member_equals_its_checked_build(self):
+        for f in every_width_layers(602):
+            scope = frozenset(range(1, f.n + 1, 2))
+            for d in sorted({1, 2, 3, f.n + 1}):
+                for cover in (build_d_cover(f, d), build_sd_cover(f, scope, d)):
+                    for pi in cover.perms:
+                        same_value(pi, LayerFunction(f.n, pi.values))
+                        assert pi.is_permutation and {type(v) for v in pi.values} == {int}
+
+    def test_widths_are_still_checked(self):
+        f, g = LayerFunction(2, (2, 1)), LayerFunction(3, (1, 1, 2))
+        for call in (lambda: f.after(g), lambda: BitVector.from01("011").through(f)):
+            with pytest.raises(ValueError, match="composition requires matching widths"):
+                call()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.lists(accepted_bits(), min_size=n, max_size=n)
+    ))
+    def test_packed_naive_opening_equals_the_checked_message(self, raw):
+        n = len(raw)
+        x = BitVector(n, tuple(raw))
+        P, old = naive_perm_protocol(n), ref_naive(n)
+        pi = LayerFunction.identity(n)
+        same_value(P.alpha(pi, x), old.alpha(pi, x))
+        replies = [P.beta(r, x, P.alpha(pi, x)) for r in range(1, n + 1)]
+        assert all(reply is replies[0] for reply in replies)
+        same_value(replies[0], old.beta(1, x, old.alpha(pi, x)))
+
+    def test_named_opening_cases(self):
+        for raw in ((True, 0, 1.0), (1.0,), (Bit.ONE, False, -0.0, Fraction(1)), (0, 0, 0)):
+            x = BitVector(len(raw), raw)
+            opening = naive_perm_protocol(x.n).alpha(LayerFunction.identity(x.n), x)
+            assert opening == Message(raw) == Message.from01(x.to01())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cover_players_match_the_walking_players(self, data):
+        # raw bits of any accepted kind, layers of any accepted point kind
+        n, k, d = (data.draw(st.integers(low, top)) for low, top in ((1, 8), (3, 7), (1, 3)))
+        middles = tuple(
+            LayerFunction(n, tuple(data.draw(st.lists(accepted_points(n), min_size=n, max_size=n))))
+            for _ in range(k - 2)
+        )
+        x = BitVector(n, tuple(data.draw(st.lists(accepted_bits(), min_size=n, max_size=n))))
+        inst = MpjInstance(n, k, data.draw(st.integers(1, n)), middles, x)
+        new = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        old = dataclasses.replace(new, players=ref_mpjk_players(ref_naive(n), d, k))
+        got = run_outcome(new, inst)
+        assert got[0] == "ok" and got == run_outcome(old, inst)
 
 
 # -- bucketing players on ints ----------------------------------------------------
@@ -1004,6 +1264,32 @@ class TestAttackPaths:
         assert pair.crossing
         assert calls == [(x, xp)]
         assert CrossingPair(x, xp) == pair
+
+    @pytest.mark.parametrize("name, n, k", [("truncate4", 16, 4), ("hash4", 16, 5), ("parity3", 10, 6)])
+    def test_attack_views_carry_their_walk_point(self, name, n, k):
+        # the adversary builds its own collapsing views; each shows the walk
+        # point its start and prefix layers give, as the runtime's views do
+        handle = build_protocol(name, n=n, k=k, seed=1).handle
+        seen = []
+
+        def recording(fn):
+            def player(view):
+                seen.append(view)
+                return fn(view)
+
+            return player
+
+        build_fooling_inputs(
+            dataclasses.replace(handle, players=tuple(map(recording, handle.players)))
+        )
+        assert {view.j for view in seen} == set(range(1, k))
+        for view in seen:
+            assert view.kind is ViewKind.COLLAPSING
+            if view.j == 1:
+                assert view.start is None and view.walked is None
+            else:
+                assert len(view.prefix_layers) == view.j - 2
+                assert view.walked == follow_pointers(view.start, view.prefix_layers)
 
     @pytest.mark.parametrize("seed", (1, 37))
     @pytest.mark.parametrize("name", ("truncate4", "parity4", "hash4"))

@@ -116,6 +116,7 @@ class TestViewContents:
     def test_full_view_hides_own_layer_only(self):
         view = make_view(self.inst, 3, ViewKind.FULL_ONE_WAY, ())
         assert view.start == 2
+        assert view.walked == 3  # f_2(2), from the start and prefix it shows
         assert view.prefix_layers == (layer(2, 3, 1, 4),)
         assert view.later_layers == ()  # nothing between layer 3 and the bits
         assert view.final_bits == bits("0110")
@@ -126,12 +127,16 @@ class TestViewContents:
         assert view.final_bits is None
         assert view.suffix is None
         assert view.prefix_layers == self.inst.middles
+        assert view.walked == 2  # f_3(f_2(2)): the walk's end, entering x
 
     def test_collapsing_view_composes_the_suffix(self):
         view = make_view(self.inst, 1, ViewKind.COLLAPSING, ())
         assert view.prefix_layers == ()
         assert view.later_layers is None and view.final_bits is None
         assert view.suffix == compose_bits(self.inst.x, self.inst.middles)
+        later = make_view(self.inst, 3, ViewKind.COLLAPSING, ())
+        assert (later.start, later.walked) == (2, 3)  # f_2(2)
+        assert later.prefix_layers == (layer(2, 3, 1, 4),) and later.suffix == self.inst.x
 
     def test_conservative_view_keeps_only_the_walk_point(self):
         view = make_view(self.inst, 3, ViewKind.CONSERVATIVE_COLLAPSING, ())
