@@ -7,10 +7,11 @@ with one modular index per point, bucketing players that call the layer
 and `bucket_index` per point and parse announcements into tuples, joint
 patterns read by 2n checked position calls (once per pattern and once per
 `positions` read), parity players that sum mask products, views and
-players that walk their own prefix, and derived layers, bit layers and
-messages built by the validating constructors. The package's one-pass and
-trusted versions must accept, reject, count and compose exactly as these
-do, with the same error texts.
+players that walk their own prefix, cover players that build the
+surviving chain and each level's cover on every call, and derived layers,
+bit layers and messages built by the validating constructors. The
+package's one-pass and trusted versions must accept, reject, count and
+compose exactly as these do, with the same error texts.
 """
 
 import dataclasses
@@ -46,7 +47,7 @@ from mpjlab.covers import (
     verify_d_cover,
     verify_sd_cover,
 )
-from mpjlab import sim
+from mpjlab import jump, sim
 from mpjlab.bucketing import (
     bucket_index,
     bucket_members,
@@ -1005,6 +1006,103 @@ class TestTrustedPaths:
         old = dataclasses.replace(new, players=ref_mpjk_players(ref_naive(n), d, k))
         got = run_outcome(new, inst)
         assert got[0] == "ok" and got == run_outcome(old, inst)
+
+
+# -- one cover plan per middle-layer tuple -------------------------------------------
+
+
+def counted_builders(monkeypatch):
+    """Clear the plan memo and count the chain and cover builds `jump` makes
+    from here on: {"chain": ..., "covers": ...}."""
+    jump._plan.cache_clear()
+    counts = {"chain": 0, "covers": 0}
+
+    def counted(key, fn):
+        def build(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return build
+
+    monkeypatch.setattr(jump, "build_sj_chain", counted("chain", jump.build_sj_chain))
+    monkeypatch.setattr(jump, "build_d_cover", counted("covers", jump.build_d_cover))
+    monkeypatch.setattr(jump, "build_sd_cover", counted("covers", jump.build_sd_cover))
+    return counts
+
+
+def alternating(*outputs):
+    """A subprotocol function that returns the next of `outputs` on every call."""
+    calls = itertools.count()
+    return lambda *args: outputs[next(calls) % len(outputs)]
+
+
+def identity_instance(n, k, start=1):
+    """Permutation middles, so every level resolves through a cover and the
+    last player always reaches gamma."""
+    ident = LayerFunction.identity(n)
+    return MpjInstance(n, k, start, (ident,) * (k - 2), BitVector.from01("01" * (n // 2)))
+
+
+class TestOnePlanPerMiddles:
+    def test_a_run_builds_one_chain_and_one_cover_per_level(self, monkeypatch):
+        # the first and the last player, each called twice, used to build
+        # the chain 4 times and each level's cover 4 times
+        n, k, d = 8, 6, 2
+        counts = counted_builders(monkeypatch)
+        protocol = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        (inst,) = sample_instances(n, k, Variant.MPJ, count=1, seed=13)
+        sim.run(protocol, inst)
+        assert counts == {"chain": 1, "covers": k - 2}
+        flipped = BitVector(n, tuple(1 - b for b in inst.x.bits))
+        again = MpjInstance(n, k, inst.i % n + 1, inst.middles, flipped)
+        assert run_outcome(protocol, again)[0] == "ok"
+        assert counts == {"chain": 1, "covers": k - 2}
+
+    @pytest.mark.parametrize("k, d", [(3, 1), (5, 1), (3, 3)])
+    def test_replay_still_catches_an_alternating_opening(self, k, d):
+        # (k-2)d openings per call is odd, so the replay's differ
+        n = 4
+        naive = naive_perm_protocol(n)
+        inst = identity_instance(n, k)
+        sim.run(mpjk_sublinear(naive, d, k), inst)  # the plan is now shared
+        P = dataclasses.replace(
+            naive, alpha=alternating(Message.from_uint(0, n), Message.from_uint(1, n))
+        )
+        with pytest.raises(sim.ProtocolContractError, match="^player 1 is nondeterministic"):
+            sim.run(mpjk_sublinear(P, d, k), inst)
+
+    @pytest.mark.parametrize("k, d", [(3, 1), (5, 1), (4, 3)])
+    def test_replay_still_catches_an_alternating_answer(self, k, d):
+        n = 4
+        naive = naive_perm_protocol(n)
+        inst = identity_instance(n, k, start=2)
+        sim.run(mpjk_sublinear(naive, d, k), inst)
+        P = dataclasses.replace(naive, gamma=alternating(0, 1))
+        with pytest.raises(sim.ProtocolContractError, match=f"^player {k} is nondeterministic"):
+            sim.run(mpjk_sublinear(P, d, k), inst)
+
+    @pytest.mark.parametrize("k, d", [(3, 1), (4, 2), (5, 1)])
+    def test_equal_middles_share_a_plan_and_match_the_walking_players(
+        self, monkeypatch, k, d
+    ):
+        # each twin's middles are rebuilt, with IntEnum points, as new objects
+        n = 3
+        counts = counted_builders(monkeypatch)
+        new = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        old = dataclasses.replace(new, players=ref_mpjk_players(ref_naive(n), d, k))
+        instances = list(sample_instances(n, k, Variant.MPJ, count=30, seed=17 + k))
+        for inst in instances:
+            twin_middles = tuple(
+                LayerFunction(n, tuple(Point(v) for v in f.values)) for f in inst.middles
+            )
+            twin = MpjInstance(n, k, Point(inst.i), twin_middles, inst.x)
+            assert all(a is not b and a == b for a, b in zip(inst.middles, twin_middles))
+            assert run_outcome(new, inst)[0] == "ok"
+            built_before = dict(counts)
+            assert run_outcome(new, twin) == run_outcome(new, inst) == run_outcome(old, twin)
+            assert counts == built_before
+        assert counts["chain"] <= len(instances)
+        assert counts["covers"] == (k - 2) * counts["chain"]
 
 
 # -- bucketing players on ints ----------------------------------------------------
