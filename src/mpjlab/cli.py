@@ -31,7 +31,15 @@ from .core import (
     sample_instances,
 )
 from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
-from .registry import BuiltProtocol, UnknownProtocolError, _cover_d, build_protocol, cost_bound
+from .registry import (
+    MAX_WIDTH,
+    BuiltProtocol,
+    UnknownProtocolError,
+    _at_most,
+    _cover_d,
+    build_protocol,
+    cost_bound,
+)
 from .sim import ProtocolContractError, ProtocolInvariantError, run, verify
 
 SEED_ENV_VAR = "MPJLAB_SEED"
@@ -290,7 +298,7 @@ def cmd_emit_plot_data(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    n = len(args.f)
+    n = _at_most("width", "n", len(args.f), MAX_WIDTH)
     f = LayerFunction(n, tuple(args.f))
     _cover_d(args.d, n)
     if args.s is None:

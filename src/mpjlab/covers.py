@@ -20,13 +20,13 @@ the fiber is larger than d.
 
 Everything is deterministic: ranges ascend, blocks are filled with the
 smallest unused non-range points, and scoped fibers list in-scope points
-first. Construction is memoized (all inputs are hashable and tiny).
+first. Each call builds its cover afresh and the module keeps no state;
+callers that reuse a cover hold it themselves (`jump._plan` does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .core import LayerFunction, _trusted
@@ -119,9 +119,8 @@ def _check_widths(members: Iterable[LayerFunction], target: LayerFunction) -> No
             raise ValueError(f"cover member has width {pi.n}, its target has width {target.n}")
 
 
-@lru_cache(maxsize=32768)
 def _cover(f: LayerFunction, scope: frozenset[int] | None, d: int) -> CoverSet:
-    """Members step^ell . base for ell = 1..d.
+    """A new CoverSet with members step^ell . base for ell = 1..d.
 
     With scope None, fibers and blocks both ascend. With a scope, fibers
     list their in-scope points first and each block puts its output value

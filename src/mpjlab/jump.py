@@ -18,7 +18,8 @@ The first and the last player both see f_2..f_{k-1}, so both derive the
 same surviving sets and the same level covers from them. That derivation
 is one plan per middle-layer tuple (`_plan`), memoized by value: the two
 players and the replay of each read it, and enumeration reuses it across
-consecutive instances that share their middles.
+consecutive instances that share their middles. It is the one cache on the
+cover path; `covers` builds every cover afresh.
 """
 
 from __future__ import annotations

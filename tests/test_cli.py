@@ -547,8 +547,9 @@ class TestPlayerCountRange:
 
 
 class TestWidthRange:
-    """Every registry protocol takes n <= MAX_WIDTH; a wider n is refused
-    with one error line before any protocol, plan or instance is built."""
+    """Every registry protocol, and `cover --f`, takes n <= MAX_WIDTH; a wider
+    n is refused with one error line before any protocol, plan, instance or
+    cover is built."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -584,6 +585,24 @@ class TestWidthRange:
 
     def test_library_takes_any_n(self):
         assert constant_protocol(MAX_WIDTH + 2, 3).n == MAX_WIDTH + 2
+
+    @pytest.mark.parametrize("extra", [(), ("--s", "1,2")], ids=["plain", "scoped"])
+    def test_cover_over_the_cap_is_refused_before_building(self, capsys, monkeypatch, extra):
+        def built(*args, **kwargs):
+            raise AssertionError("built a layer or cover past the width cap")
+
+        for name in ("LayerFunction", "build_d_cover", "build_sd_cover"):
+            monkeypatch.setattr(f"mpjlab.cli.{name}", built)
+        points = ",".join(["1"] * (MAX_WIDTH + 1))
+        code, out, err = run_cli(capsys, "cover", "--f", points, "--d", "1", *extra)
+        assert code == 2 and out == ""
+        assert err == f"error: width n={MAX_WIDTH + 1} is over {MAX_WIDTH}; use n <= {MAX_WIDTH}\n"
+
+    def test_cover_at_the_cap_is_accepted(self, capsys):
+        points = ",".join(["1"] * MAX_WIDTH)
+        code, out, err = run_cli(capsys, "cover", "--f", points, "--d", "1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["n"] == MAX_WIDTH
 
 
 class TestWidthListRefusals:

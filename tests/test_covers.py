@@ -122,9 +122,13 @@ class TestPlainCovers:
                         if len(fib) <= d:
                             assert s in seen
 
-    def test_construction_is_memoized(self):
-        f = layer(2, 1, 3)
-        assert build_d_cover(f, 2) is build_d_cover(LayerFunction(3, (2, 1, 3)), 2)
+    def test_construction_is_deterministic(self):
+        f, twin = layer(2, 1, 1, 3), LayerFunction(4, (2, 1, 1, 3))
+        first, second = build_d_cover(f, 2), build_d_cover(twin, 2)
+        assert first is not second and first == second
+        assert first.perms == (layer(2, 4, 1, 3), layer(2, 1, 4, 3))
+        scoped, twin_scoped = build_sd_cover(f, {2, 3}, 2), build_sd_cover(twin, [3, 2], 2)
+        assert scoped is not twin_scoped and scoped == twin_scoped
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,10 @@ compose exactly as these do, with the same error texts.
 """
 
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -728,8 +730,7 @@ class TestCoverConstruction:
                 assert (scoped.d, scoped.target, scoped.scope) == (d, f, scope)
 
     def test_full_scope_keeps_its_own_order(self):
-        # the frozen k=3 transcripts read the plain order, so the plain and
-        # the full-scope cover never share a memo entry
+        # the frozen k=3 transcripts read the plain order
         differ = 0
         for f in every_width_layers(601):
             full = frozenset(range(1, f.n + 1))
@@ -1103,6 +1104,31 @@ class TestOnePlanPerMiddles:
             assert counts == built_before
         assert counts["chain"] <= len(instances)
         assert counts["covers"] == (k - 2) * counts["chain"]
+
+    def test_covers_do_not_pile_up_across_runs(self, monkeypatch):
+        # the plan memo is the one cache on the cover path: once a plan is
+        # evicted, nothing else keeps its covers alive
+        n, k, d, runs = 16, 6, 2, 200
+        jump._plan.cache_clear()
+        built = []
+
+        def tracked(fn):
+            def build(*args):
+                cover = fn(*args)
+                built.append(weakref.ref(cover))
+                return cover
+
+            return build
+
+        monkeypatch.setattr(jump, "build_d_cover", tracked(jump.build_d_cover))
+        monkeypatch.setattr(jump, "build_sd_cover", tracked(jump.build_sd_cover))
+        protocol = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        for inst in sample_instances(n, k, Variant.MPJ, count=runs, seed=29):
+            sim.run(protocol, inst)
+        gc.collect()
+        assert len(built) == runs * (k - 2)
+        alive = sum(ref() is not None for ref in built)
+        assert alive <= 16 * (k - 2)  # the 16 plans _plan keeps
 
 
 # -- bucketing players on ints ----------------------------------------------------
