@@ -15,13 +15,13 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Iterable, Sequence
 
 from .adversary import BoundRefusedError, CrossingSearchError, build_fooling_inputs, verify_fooling
 from .bucketing import _announcement
 from .core import (
     BudgetExceededError,
-    Instance,
     LayerFunction,
     enumerate_instances,
     eval_instance,
@@ -33,6 +33,7 @@ from .core import (
 from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
 from .registry import (
     MAX_WIDTH,
+    PERM_PROTOCOLS,
     BuiltProtocol,
     UnknownProtocolError,
     _at_most,
@@ -40,7 +41,7 @@ from .registry import (
     build_protocol,
     cost_bound,
 )
-from .sim import ProtocolContractError, ProtocolInvariantError, run, verify
+from .sim import ProtocolContractError, ProtocolInvariantError, VerifyReport, run, verify
 
 SEED_ENV_VAR = "MPJLAB_SEED"
 
@@ -79,40 +80,42 @@ def _positive_int_list(text: str) -> list[int]:
     return values
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(payload: str | dict | list, output: str | None) -> None:
+    """Write text as it is, or stream a dict or list as indented JSON, onto
+    stdout or into the file `output`. Text brings its closing newline; JSON
+    gets one on stdout and none in a file, and is never held as one text."""
+    to_file = output is not None
+    with open(output, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            if not to_file:
+                fh.write("\n")
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _build(args: argparse.Namespace) -> BuiltProtocol:
+def _build(args: argparse.Namespace, n: int) -> BuiltProtocol:
     return build_protocol(
-        args.protocol,
-        n=args.n,
-        k=args.k,
-        d=args.d,
-        perm_protocol=args.perm_protocol,
-        seed=args.seed,
+        args.protocol, n=n, k=args.k, d=args.d, perm_protocol=args.perm_protocol, seed=args.seed
     )
 
 
-def _instances(built: BuiltProtocol, args: argparse.Namespace) -> Iterable[Instance]:
+def _check(
+    args: argparse.Namespace, n: int, built: BuiltProtocol
+) -> tuple[VerifyReport, float | None, bool | None]:
+    """Verify `built` at width n against brute force, on every instance under
+    --exhaustive, else on --samples seeded ones, and hold its worst prefix
+    cost to the cost bound: (report, bound, bound_ok), bound_ok None when the
+    protocol has no bound."""
     handle = built.handle
-    if args.exhaustive:
-        return enumerate_instances(
-            args.n, handle.k, built.variant, built.perm_mask, budget=args.budget
-        )
-    return sample_instances(
-        args.n, handle.k, built.variant, built.perm_mask, count=args.samples, seed=args.seed
-    )
+    space = (n, handle.k, built.variant, built.perm_mask)
+    if getattr(args, "exhaustive", False):  # bench and emit-plot-data only sample
+        instances = enumerate_instances(*space, budget=args.budget)
+    else:
+        instances = sample_instances(*space, count=args.samples, seed=args.seed)
+    report = verify(handle, instances)
+    bound = cost_bound(args.protocol, n=n, k=handle.k, d=args.d)
+    return report, bound, None if bound is None else report.worst_prefix_cost <= bound
 
 
 def _bucket_debug(built: BuiltProtocol, transcript) -> dict:
@@ -129,7 +132,7 @@ def _bucket_debug(built: BuiltProtocol, transcript) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    built = _build(args)
+    built = _build(args, args.n)
     if args.instance is not None:
         with open(args.instance, "r", encoding="utf-8") as fh:
             try:
@@ -160,14 +163,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         if built.bucket_plan is None:
             raise ValueError("--emit-buckets only applies to the bucketing protocols")
         payload["buckets"] = _bucket_debug(built, transcript)
-    _emit(_json_dump(payload), args.output)
+    _emit(payload, args.output)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    built = _build(args)
-    report = verify(built.handle, _instances(built, args))
-    bound = cost_bound(args.protocol, n=args.n, k=built.handle.k, d=args.d)
+    built = _build(args, args.n)
+    report, bound, bound_ok = _check(args, args.n, built)
     payload = {
         "protocol": built.handle.name,
         "n": args.n,
@@ -178,7 +180,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "worst_prefix_cost": report.worst_prefix_cost,
         "per_player_max_bits": list(report.per_player_max_bits),
         "bound": bound,
-        "bound_ok": None if bound is None else report.worst_prefix_cost <= bound,
+        "bound_ok": bound_ok,
     }
     if report.failures:
         first = report.failures[0]
@@ -189,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "error": first.error,
         }
     if args.format == "json":
-        _emit(_json_dump(payload), args.output)
+        _emit(payload, args.output)
     else:
         lines = [
             f"protocol {built.handle.name}: checked {report.checked} instances, "
@@ -199,17 +201,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"per-player max bits: {list(report.per_player_max_bits)}",
         ]
         if bound is not None:
-            verdict = "within" if payload["bound_ok"] else "OVER"
+            verdict = "within" if bound_ok else "OVER"
             lines.append(f"cost bound {bound:g}: {verdict}")
-        if report.failures:
-            first = report.failures[0]
+        if report.failures:  # `first` is set above, with the payload's first_failure
             got = "no output" if first.got is None else f"got {first.got}"
             error = "" if first.error is None else f" ({first.error})"
             lines.append(
                 f"first failure: expected {first.expected}, {got}{error}; "
                 f"instance JSON for run --instance:"
             )
-            lines.append(json.dumps(instance_to_dict(first.inst), sort_keys=True))
+            lines.append(json.dumps(payload["first_failure"]["instance"], sort_keys=True))
         _emit("\n".join(lines) + "\n", args.output)
     return 1 if report.failures else 0
 
@@ -217,23 +218,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _result_rows(args: argparse.Namespace) -> tuple[list[dict], int]:
     """One verified row per width; every width is built, and so checked,
     before any is verified."""
-    builds = [
-        build_protocol(
-            args.protocol, n=n, k=args.k, d=args.d,
-            perm_protocol=args.perm_protocol, seed=args.seed,
-        )
-        for n in args.n
-    ]
+    builds = [_build(args, n) for n in args.n]
     rows = []
     for n, built in zip(args.n, builds):
-        report = verify(
-            built.handle,
-            sample_instances(
-                n, built.handle.k, built.variant, built.perm_mask,
-                count=args.samples, seed=args.seed,
-            ),
-        )
-        bound = cost_bound(args.protocol, n=n, k=built.handle.k, d=args.d)
+        report, bound, bound_ok = _check(args, n, built)
         rows.append(
             {
                 "n": n,
@@ -245,7 +233,7 @@ def _result_rows(args: argparse.Namespace) -> tuple[list[dict], int]:
                 "checked": report.checked,
                 "failures": len(report.failures),
                 "bound": bound,
-                "bound_ok": None if bound is None else report.worst_prefix_cost <= bound,
+                "bound_ok": bound_ok,
             }
         )
     return rows, builds[0].handle.k
@@ -280,7 +268,7 @@ def _rows_exit_code(rows: list[dict]) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     rows, k = _result_rows(args)
     if args.format == "json":
-        _emit(_json_dump(rows), args.output)
+        _emit(rows, args.output)
     else:
         _emit(_to_csv(_csv_lines(rows, k)), args.output)
     return _rows_exit_code(rows)
@@ -309,19 +297,19 @@ def cmd_cover(args: argparse.Namespace) -> int:
         ok, witness = verify_sd_cover(cover, f, args.s, args.d)
     payload = {
         "n": n,
-        "f": list(f.values),
+        "f": f.values,
         "d": args.d,
         "scope": sorted(args.s) if args.s is not None else None,
-        "perms": [list(pi.values) for pi in cover.perms],
+        "perms": [pi.values for pi in cover.perms],
         "verified": ok,
         "first_uncovered": witness,
     }
-    _emit(_json_dump(payload), args.output)
+    _emit(payload, args.output)
     return 0 if ok else 1
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    built = _build(args)
+    built = _build(args, args.n)
     pair = build_fooling_inputs(built.handle)
     report = verify_fooling(built.handle, pair.inst0, pair.inst1)
     payload = {
@@ -340,7 +328,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             "fooled": report.fooled,
         },
     }
-    _emit(_json_dump(payload), args.output)
+    _emit(payload, args.output)
     return 0 if report.fooled else 1
 
 
@@ -348,7 +336,7 @@ def _add_protocol_args(p: argparse.ArgumentParser, *, seed: int) -> None:
     p.add_argument("--protocol", required=True, help="registry name, e.g. index, bucketing")
     p.add_argument("--k", type=int, default=None, help="player count (protocol default if omitted)")
     p.add_argument("--d", type=int, default=None, help="cover parameter for the sublinear protocols")
-    p.add_argument("--perm-protocol", default="naive", choices=["naive"],
+    p.add_argument("--perm-protocol", default="naive", choices=PERM_PROTOCOLS,
                    help="plug-in three-player subprotocol")
     p.add_argument("--seed", type=int, default=seed,
                    help=f"RNG seed (default from ${SEED_ENV_VAR}, else 0)")
@@ -422,10 +410,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     try:
         return args.fn(args)
-    except BudgetExceededError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except BoundRefusedError as exc:
+    except (BudgetExceededError, BoundRefusedError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (UnknownProtocolError, ValueError, OSError) as exc:

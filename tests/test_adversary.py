@@ -404,6 +404,8 @@ class TestFamilies:
             assert collapsing_family(n, 3, 4 + 3 * limit)[-1].name == "hash1"
 
     def test_family_errors(self):
+        with pytest.raises(ValueError, match="at least 2 players"):
+            constant_protocol(8, 1)
         with pytest.raises(ValueError):
             collapsing_family(8, 3, 0)
         with pytest.raises(ValueError, match="no room"):

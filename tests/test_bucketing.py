@@ -205,6 +205,8 @@ class TestWidthPlans:
     def test_doubling_needs_enough_players(self):
         with pytest.raises(ValueError, match="cannot reach singleton"):
             doubling_plan(16, 3)
+        with pytest.raises(ValueError, match="needs k >= 3"):
+            doubling_plan(16, 2)
 
 
 class TestBucketingProtocol:

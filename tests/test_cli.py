@@ -1,15 +1,22 @@
 """Command-line behavior: exit codes, output formats, determinism, refusals."""
 
+import csv
 import dataclasses
+import hashlib
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mpjlab
 from mpjlab.adversary import CrossingSearchError
 from mpjlab.cli import SEED_ENV_VAR, main
 from mpjlab.core import Instance, LayerFunction, Variant, instance_from_dict, sample_instances
@@ -411,6 +418,53 @@ class TestEmitPlotData:
         assert first == second
 
 
+class TestOneCheckPath:
+    """`verify --samples S` and a one-width `bench` or `emit-plot-data` with
+    the same seed and S check the same instances, so they report the same
+    figures: the three commands share one build, verify and bound step."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--protocol", "mpjk-sublinear", "--n", "6", "--k", "4", "--d", "2"),
+            ("--protocol", "bucketing", "--n", "8", "--k", "4"),
+            ("--protocol", "truncate3", "--n", "6"),  # no cost bound
+            ("--protocol", "broken-const", "--n", "4"),  # wrong answers
+        ],
+        ids=" ".join,
+    )
+    def test_verify_and_bench_agree(self, capsys, argv):
+        common = (*argv, "--samples", "40", "--seed", "5")
+        vcode, vout, _ = run_cli(capsys, "verify", *common, "--format", "json")
+        bcode, bout, _ = run_cli(capsys, "bench", *common, "--format", "json")
+        pcode, pout, _ = run_cli(capsys, "emit-plot-data", *common)
+        v = json.loads(vout)
+        [row] = json.loads(bout)
+        assert vcode == bcode == pcode
+        assert (
+            row["checked"], row["failures"], row["max_cost"], row["per_player"],
+            row["bound"], row["bound_ok"],
+        ) == (
+            v["checked"], v["failures"], v["worst_cost"], v["per_player_max_bits"],
+            v["bound"], v["bound_ok"],
+        )
+        assert v["checked"] == 40
+        _, line = csv.reader(io.StringIO(pout))
+        assert line == [
+            str(field) for field in
+            (row["n"], row["k"], row["protocol"], row["view"], row["max_cost"], *row["per_player"])
+        ]
+
+
+COVER_IN_A_FRESH_INTERPRETER = """
+import resource, sys
+from mpjlab.cli import main
+points = ",".join(str(v) for v in range(1, 1025))
+code = main(["cover", "--f", points, "--d", "1024", "--output", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 class TestCover:
     def test_plain_cover_payload(self, capsys):
         code, out, _ = run_cli(capsys, "cover", "--f", "2,2,4,4", "--d", "2")
@@ -433,6 +487,27 @@ class TestCover:
     def test_invalid_layer_values(self, capsys):
         code, _, err = run_cli(capsys, "cover", "--f", "1,5", "--d", "1")
         assert code == 2 and "error" in err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_streams_its_json_in_bounded_memory(self, tmp_path):
+        # 1,024 members of 1,024 points: the 11.5 MB of JSON are streamed, so
+        # the whole interpreter stays under 64 MiB, where holding the text and
+        # list copies of the members takes about 119 MiB; the pinned bytes end
+        # without a newline, as every JSON file does
+        target = tmp_path / "cover.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(mpjlab.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", COVER_IN_A_FRESH_INTERPRETER, str(target)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, max_rss_kib = map(int, done.stdout.split())
+        assert code == 0
+        assert max_rss_kib < 64 * 1024
+        data = target.read_bytes()
+        assert len(data) == 11_470_887
+        assert hashlib.sha256(data).hexdigest() == (
+            "5d8785fb7e66238a6d657f0c4f679a95b2cd485818d81fa48cafa6f3a289317c"
+        )
 
 
 class TestCoverParameterRange:
@@ -655,6 +730,13 @@ class TestAttack:
         code, _, err = run_cli(capsys, "attack", "--protocol", "index", "--n", "8")
         assert code == 2 and "refused" in err
 
+    def test_refuses_pointer_targets(self, capsys):
+        code, out, err = run_cli(
+            capsys, "attack", "--protocol", "bucketing", "--n", "8", "--k", "4"
+        )
+        assert code == 2 and out == ""
+        assert err == "refused: the attack targets Boolean protocols only\n"
+
     def test_wide_target_within_budget(self, capsys):
         code, out, err = run_cli(capsys, "attack", "--protocol", "truncate1", "--n", "18")
         assert code == 0 and err == ""
@@ -734,6 +816,16 @@ class TestRegistry:
     def test_unknown_perm_subprotocol(self):
         with pytest.raises(ValueError):
             build_protocol("mpj3-sublinear", n=4, perm_protocol="magic")
+
+    @pytest.mark.parametrize("name", registry.PERM_PROTOCOLS + ("magic",))
+    def test_cli_offers_the_registry_perm_subprotocols(self, capsys, name):
+        code, _, err = run_cli(
+            capsys, "run", "--protocol", "mpj3-sublinear", "--n", "4", "--perm-protocol", name
+        )
+        if name in registry.PERM_PROTOCOLS:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and f"invalid choice: {name!r}" in err
 
     def test_cost_bounds(self):
         assert cost_bound("index", n=8, k=2, d=None) == 8.0

@@ -121,6 +121,14 @@ class TestBitVector:
         # position r of the composed vector holds x at f(r)
         assert bits("0110").through(layer(2, 1, 4, 3)) == bits("1001")
 
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            BitVector(0, ())
+        with pytest.raises(ValueError, match="expected 3 bits, got 2"):
+            BitVector(3, (0, 1))
+        with pytest.raises(ValueError, match="nonempty"):
+            BitVector.from01("")
+
 
 class TestEvaluation:
     def test_identity_middle_reads_pointer_position(self):
@@ -328,6 +336,13 @@ class TestJsonForms:
                 {"n": 3, "k": 3, "variant": "mpj", "i": 1, "layers": [[1, 2]], "x": "010"}
             )
 
+    def test_mask_of_integers_rejected(self):
+        # JSON 1 and 0 are not booleans, though Python compares them equal
+        doc = {"n": 2, "k": 3, "variant": "mpjhat", "i": 1, "layers": [[2, 1], [1, 2]]}
+        assert instance_from_dict({**doc, "perm_mask": [True, False]}).perm_mask == (True, False)
+        with pytest.raises(ValueError, match="'perm_mask' must be a list of booleans"):
+            instance_from_dict({**doc, "perm_mask": [1, 0]})
+
 
 class TestValidation:
     def test_layer_count_must_match_k(self):
@@ -343,6 +358,26 @@ class TestValidation:
     def test_start_pointer_in_range(self):
         with pytest.raises(ValueError):
             MpjInstance(3, 2, 4, (), bits("010"))
+
+    def test_boolean_instance_refusals(self):
+        with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+            MpjInstance(3, 1, 1, (), bits("010"))
+        with pytest.raises(ValueError, match="middle layer width differs from n"):
+            MpjInstance(3, 3, 1, (layer(1, 2),), bits("010"))
+        with pytest.raises(ValueError, match="bit layer width differs from n"):
+            MpjInstance(3, 2, 1, (), bits("01"))
+
+    def test_pointer_instance_refusals(self):
+        with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+            MpjHatInstance(3, 1, 1, ())
+        with pytest.raises(ValueError, match="layer width differs from n"):
+            MpjHatInstance(3, 2, 1, (layer(1, 2),))
+        with pytest.raises(ValueError, match="perm_mask length must match"):
+            MpjHatInstance(3, 2, 1, (layer(1, 2, 3),), (True, False))
+
+    def test_chain_of_mixed_widths(self):
+        with pytest.raises(ValueError, match="share one width"):
+            chain_layers([layer(1, 2, 3), layer(1, 2)], 3)
 
     def test_eval_instance_dispatches(self):
         assert eval_instance(MpjInstance(3, 2, 3, (), bits("001"))) == 1

@@ -202,6 +202,13 @@ class TestScopedCovers:
 
 
 class TestCoverSetValidation:
+    def test_d_must_be_positive(self):
+        ident = LayerFunction.identity(3)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            CoverSet((), 0, ident)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            build_sd_cover(ident, {1}, 0)
+
     def test_too_many_members(self):
         ident = LayerFunction.identity(3)
         with pytest.raises(ValueError):

@@ -63,6 +63,12 @@ class TestPermSubprotocol:
         with pytest.raises(ProtocolContractError):
             check_perm_protocol3(oversize, 2)
 
+    def test_checker_enforces_reply_size(self):
+        P = naive_perm_protocol(2)
+        short = PermProtocol3(2, P.alpha, lambda i, x, a: Message((0,)), P.gamma)
+        with pytest.raises(ProtocolContractError, match="beta produced 1 bits, expected 2"):
+            check_perm_protocol3(short, 2)
+
     def test_explicit_triples_are_honored(self):
         P = naive_perm_protocol(3)
         triples = [(1, LayerFunction.identity(3), bits("100"))]
@@ -250,3 +256,20 @@ class TestKPlayerSublinear:
             mpjk_sublinear(P, 1, 2)
         with pytest.raises(ValueError):
             mpjk_sublinear(P, 0, 3)
+
+    @pytest.mark.parametrize("part", ["alpha", "beta"])
+    def test_subprotocol_message_sizes_are_enforced_in_runs(self, part):
+        # an opening or a reply of other than m bits breaks the framing, so the
+        # first player (openings) or a middle player (replies) refuses it
+        P = naive_perm_protocol(4)
+
+        def wrong(*args):
+            return Message((0,) * 3)
+
+        bad = PermProtocol3(
+            4, wrong if part == "alpha" else P.alpha, wrong if part == "beta" else P.beta, P.gamma
+        )
+        proto = mpjk_sublinear(bad, 2, 4)
+        [inst] = sample_instances(4, 4, Variant.MPJ, count=1, seed=1)
+        with pytest.raises(ProtocolContractError, match=f"{part} produced 3 bits, expected 4"):
+            run(proto, inst)

@@ -96,6 +96,10 @@ class TestPointerCodec:
             for v in range(1, n + 1):
                 assert decode_pointer(encode_pointer(v, n), n) == v
 
+    def test_width_needs_a_positive_n(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            pointer_width(0)
+
     def test_decode_rejects_bad_input(self):
         with pytest.raises(ValueError):
             decode_pointer(Message.from01("111"), 5)  # decodes to 8 > 5
@@ -236,6 +240,28 @@ class TestViewIsolation:
         assert compose_bits(a.x, a.middles) == compose_bits(b.x, b.middles)
         assert make_view(a, 1, ViewKind.COLLAPSING, ()) == make_view(b, 1, ViewKind.COLLAPSING, ())
         assert make_view(a, 1, ViewKind.FULL_ONE_WAY, ()) != make_view(b, 1, ViewKind.FULL_ONE_WAY, ())
+
+
+def silent(view):
+    return Message()
+
+
+class TestHandle:
+    @pytest.mark.parametrize(
+        "k, players, bounds, message",
+        [
+            (1, (silent,), None, "at least 2 players"),
+            (3, (silent,) * 2, None, "expected 3 message functions, got 2"),
+            (2, (silent,) * 2, (0, 1, 1), "one bound per player"),
+        ],
+        ids=["one-player", "too-few-functions", "bounds-for-three"],
+    )
+    def test_refusals(self, k, players, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            ProtocolHandle(
+                "bad", k, Variant.MPJ, ViewKind.FULL_ONE_WAY, players,
+                declared_max_bits=bounds,
+            )
 
 
 class TestRun:
