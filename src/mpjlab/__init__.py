@@ -21,9 +21,7 @@ from .core import (
 )
 from .covers import (
     CoverSet,
-    FiberPartition,
     build_d_cover,
-    build_fiber_partition,
     build_sd_cover,
     verify_d_cover,
     verify_sd_cover,
@@ -58,7 +56,6 @@ from .bucketing import (
     bucketing_protocol,
     bucketing_protocol_doubling,
     iterated_log,
-    log_star,
 )
 from .adversary import (
     BoundRefusedError,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj, follow_pointers
-from .sim import Message, PlayerView, ProtocolHandle, ViewKind, run
+from .sim import Message, PlayerView, ProtocolHandle, ViewKind, call_player, run
 
 
 class BoundRefusedError(ValueError):
@@ -237,7 +237,7 @@ def build_fooling_inputs(protocol: ProtocolHandle) -> FoolingPair:
         )
         fn = protocol.players[j - 1]
         return find_crossed_cell(
-            lambda y: fn(view(suffix=y)), n, protocol.declared_max_bits[j - 1]
+            lambda y: call_player(fn, view(suffix=y)), n, protocol.declared_max_bits[j - 1]
         )
 
     # after player j: `layers` fixes f_2..f_j, `messages` holds the forced

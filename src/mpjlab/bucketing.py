@@ -54,18 +54,6 @@ def iterated_log(n: float, times: int) -> float:
     return value
 
 
-def log_star(n: float) -> int:
-    """How many log2 applications bring n to at most 1."""
-    if n <= 0:
-        raise ValueError("log_star needs a positive value")
-    count = 0
-    value = float(n)
-    while value > 1.0:
-        value = math.log2(value)
-        count += 1
-    return count
-
-
 def bucket_index(t: int, n: int, r: int) -> int:
     """Which of the 2^t interval buckets over [n] holds point r."""
     if t < 0:
@@ -161,6 +149,31 @@ def _announcement(msg: Message, n: int, width: int) -> tuple[int, int]:
     if area_bits != indicator.bit_count() * width:
         raise ProtocolInvariantError("announcement index area has the wrong size")
     return indicator, msg.value & ((1 << area_bits) - 1)
+
+
+def bucket_bound(plan: BucketPlan) -> float:
+    """The most bits players 1..k-1 send under `plan`: n first-width indices,
+    then per later announcer an n-bit indicator plus the indices of at most
+    ceil(n / 2^b) survivors, b the width that framed them."""
+    total = float(plan.n * plan.width(1))
+    for j in range(2, plan.terminal + 1):
+        cap = -(-plan.n // (2 ** plan.width(j - 1)))
+        total += plan.n + cap * plan.width(j)
+    return total
+
+
+def bucket_report(plan: BucketPlan, messages: Sequence[Message]) -> dict:
+    """A run's announcements as JSON-ready data: the widths of players
+    1..k-1, the terminal player, and each later announcer's survivors."""
+    survivors = {}
+    for j in range(2, plan.terminal + 1):
+        indicator, _ = _announcement(messages[j - 1], plan.n, plan.width(j))
+        survivors[str(j)] = [r for r in range(1, plan.n + 1) if indicator >> (plan.n - r) & 1]
+    return {
+        "widths": list(plan.widths[: plan.k - 1]),
+        "terminal": plan.terminal,
+        "survivors": survivors,
+    }
 
 
 def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int) -> int:

@@ -1,8 +1,8 @@
 """Command-line front end: run, verify, bench, cover, attack, emit-plot-data.
 
 Exit codes: 0 on success, 1 when verification found failures (or an attack
-did not fool its target or found no crossed cell, or a player broke the
-protocol contract), 2 on usage/configuration errors. Output is a pure
+did not fool its target or found no crossed cell, or a player raised or broke
+the protocol contract), 2 on usage/configuration errors. Output is a pure
 function of the arguments plus the seed; the default seed comes from the
 MPJLAB_SEED environment variable (0 when unset).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from contextlib import nullcontext
 from typing import Iterable, Sequence
 
 from .adversary import BoundRefusedError, CrossingSearchError, build_fooling_inputs, verify_fooling
-from .bucketing import _announcement
+from .bucketing import bucket_report
 from .core import (
     BudgetExceededError,
     LayerFunction,
@@ -33,7 +34,6 @@ from .core import (
 from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
 from .registry import (
     MAX_WIDTH,
-    PERM_PROTOCOLS,
     BuiltProtocol,
     UnknownProtocolError,
     _at_most,
@@ -83,21 +83,23 @@ def _positive_int_list(text: str) -> list[int]:
 def _emit(payload: str | dict | list, output: str | None) -> None:
     """Write text as it is, or stream a dict or list as indented JSON, onto
     stdout or into the file `output`. Text brings its closing newline; JSON
-    gets one on stdout and none in a file, and is never held as one text."""
+    gets one on stdout and none in a file. JSON is written 4,096 encoder
+    chunks at a time, never as one text: the encoder yields a few chunks per
+    value, and a write for each would slow a large `cover`."""
     to_file = output is not None
     with open(output, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
         if isinstance(payload, str):
             fh.write(payload)
         else:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+            while batch := list(itertools.islice(chunks, 4096)):
+                fh.write("".join(batch))
             if not to_file:
                 fh.write("\n")
 
 
 def _build(args: argparse.Namespace, n: int) -> BuiltProtocol:
-    return build_protocol(
-        args.protocol, n=n, k=args.k, d=args.d, perm_protocol=args.perm_protocol, seed=args.seed
-    )
+    return build_protocol(args.protocol, n=n, k=args.k, d=args.d, seed=args.seed)
 
 
 def _check(
@@ -116,19 +118,6 @@ def _check(
     report = verify(handle, instances)
     bound = cost_bound(args.protocol, n=n, k=handle.k, d=args.d)
     return report, bound, None if bound is None else report.worst_prefix_cost <= bound
-
-
-def _bucket_debug(built: BuiltProtocol, transcript) -> dict:
-    plan = built.bucket_plan
-    survivors = {}
-    for j in range(2, plan.terminal + 1):
-        indicator, _ = _announcement(transcript.messages[j - 1], plan.n, plan.width(j))
-        survivors[str(j)] = [r for r in range(1, plan.n + 1) if indicator >> (plan.n - r) & 1]
-    return {
-        "widths": list(plan.widths[: built.handle.k - 1]),
-        "terminal": plan.terminal,
-        "survivors": survivors,
-    }
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -162,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.emit_buckets:
         if built.bucket_plan is None:
             raise ValueError("--emit-buckets only applies to the bucketing protocols")
-        payload["buckets"] = _bucket_debug(built, transcript)
+        payload["buckets"] = bucket_report(built.bucket_plan, transcript.messages)
     _emit(payload, args.output)
     return 0
 
@@ -336,8 +325,6 @@ def _add_protocol_args(p: argparse.ArgumentParser, *, seed: int) -> None:
     p.add_argument("--protocol", required=True, help="registry name, e.g. index, bucketing")
     p.add_argument("--k", type=int, default=None, help="player count (protocol default if omitted)")
     p.add_argument("--d", type=int, default=None, help="cover parameter for the sublinear protocols")
-    p.add_argument("--perm-protocol", default="naive", choices=PERM_PROTOCOLS,
-                   help="plug-in three-player subprotocol")
     p.add_argument("--seed", type=int, default=seed,
                    help=f"RNG seed (default from ${SEED_ENV_VAR}, else 0)")
     p.add_argument("--output", default=None, help="write here instead of stdout")

@@ -32,20 +32,6 @@ from typing import Iterable
 from .core import LayerFunction, _trusted
 
 
-@dataclass(frozen=True)
-class FiberPartition:
-    """Fibers of a function matched with same-size disjoint blocks of [n].
-
-    fibers[t] lists the preimages of range_values[t]; blocks[t] is the
-    matched block, which meets the range only in range_values[t].
-    """
-
-    n: int
-    range_values: tuple[int, ...]
-    fibers: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-
 def _fibers_and_pads(f: LayerFunction) -> list[tuple[int, list[int], list[int]]]:
     """One grouping pass: (value, its ascending fiber, the points padding its
     block) for each range value, ascending.
@@ -69,18 +55,6 @@ def _fibers_and_pads(f: LayerFunction) -> list[tuple[int, list[int], list[int]]]
             out.append((s, fib, spare[used : used + pad]))
             used += pad
     return out
-
-
-def build_fiber_partition(f: LayerFunction) -> FiberPartition:
-    """Pair each fiber with a block: seeded by its output value, padded with
-    the smallest unused non-range points, processed in ascending value order."""
-    parts = _fibers_and_pads(f)
-    return FiberPartition(
-        f.n,
-        tuple(s for s, _, _ in parts),
-        tuple(tuple(fib) for _, fib, _ in parts),
-        tuple(tuple(sorted(pad + [s])) for s, _, pad in parts),
-    )
 
 
 def _fiber_sizes(f: LayerFunction, points: Iterable[int]) -> list[int]:

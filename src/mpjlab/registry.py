@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 from .bucketing import (
     BucketPlan,
+    bucket_bound,
     bucket_width_plan,
     bucketing_protocol,
     bucketing_protocol_doubling,
@@ -33,9 +34,6 @@ from .sim import Message, PlayerView, ProtocolHandle, ViewKind
 
 class UnknownProtocolError(ValueError):
     pass
-
-
-PERM_PROTOCOLS = ("naive",)
 
 
 class Params(NamedTuple):
@@ -137,14 +135,6 @@ def _cover_bound(p: Params) -> float:
     return 2 * (p.k - 2) * p.d * p.n + p.n / p.d ** (p.k - 2)
 
 
-def _bucket_bound(plan: BucketPlan) -> float:
-    total = float(plan.n * plan.width(1))
-    for j in range(2, plan.terminal + 1):
-        cap = -(-plan.n // (2 ** plan.width(j - 1)))
-        total += plan.n + cap * plan.width(j)
-    return total
-
-
 def _bucketing(
     build: Callable[[int, int], ProtocolHandle], plan: Callable[[int, int], BucketPlan]
 ) -> ProtocolSpec:
@@ -152,7 +142,7 @@ def _bucketing(
         lambda p: build(p.n, p.k),
         default_k=3,
         permutation_layers=True,
-        bound=lambda p: _bucket_bound(plan(p.n, p.k)),
+        bound=lambda p: bucket_bound(plan(p.n, p.k)),
         bucket_plan=plan,
     )
 
@@ -210,17 +200,9 @@ def _lookup(
 
 
 def build_protocol(
-    name: str,
-    *,
-    n: int,
-    k: int | None = None,
-    d: int | None = None,
-    perm_protocol: str = "naive",
-    seed: int = 0,
+    name: str, *, n: int, k: int | None = None, d: int | None = None, seed: int = 0
 ) -> BuiltProtocol:
     """Construct a protocol by registry name; raises UnknownProtocolError/ValueError."""
-    if perm_protocol not in PERM_PROTOCOLS:
-        raise ValueError(f"unknown permutation subprotocol {perm_protocol!r}")
     spec, params = _lookup(name, n=n, k=k, d=d, seed=seed)
     handle = spec.build(params)
     return BuiltProtocol(

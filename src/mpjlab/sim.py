@@ -342,6 +342,18 @@ def _decode_output(last: Message, n: int, variant: Variant) -> int:
         raise ProtocolContractError(str(exc)) from None
 
 
+def call_player(fn: Callable[[PlayerView], Message], view: PlayerView) -> Message:
+    """Player view.j's message on `view`. Any exception but the two protocol
+    errors becomes a ProtocolContractError naming the player and what they
+    raised, so a crash fails the run instead of escaping as a traceback."""
+    try:
+        return fn(view)
+    except (ProtocolContractError, ProtocolInvariantError):
+        raise
+    except Exception as exc:
+        raise ProtocolContractError(f"player {view.j} raised {type(exc).__name__}: {exc}") from exc
+
+
 def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
     """Execute one protocol run; replays every message to catch nondeterminism."""
     if inst.variant is not protocol.variant:
@@ -357,8 +369,8 @@ def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
     messages: list[Message] = []
     for j, fn in enumerate(protocol.players, start=1):
         view = make_view(inst, j, protocol.view_kind, tuple(messages), derived=derived)
-        msg = fn(view)
-        replay = fn(view)
+        msg = call_player(fn, view)
+        replay = call_player(fn, view)
         if not isinstance(msg, Message):
             raise ProtocolContractError(f"player {j} returned {type(msg).__name__}, not a Message")
         if msg != replay:
@@ -404,8 +416,8 @@ class VerifyReport:
 def verify(protocol: ProtocolHandle, instances: Iterable[Instance]) -> VerifyReport:
     """Run the protocol against the brute-force answer for every instance.
 
-    A player raising ProtocolContractError or ProtocolInvariantError fails
-    that instance only; the sweep carries on.
+    A player that raises fails that instance only (`call_player` makes any
+    exception a protocol error); the sweep carries on.
     """
     checked = 0
     failures: list[Failure] = []

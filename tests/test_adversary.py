@@ -158,6 +158,9 @@ class TestFindCrossedCell:
     def test_refuses_messages_over_the_bound(self):
         with pytest.raises(BoundRefusedError, match="exceeds the declared bound"):
             find_crossed_cell(lambda y: Message(y.bits), 8, 4.5)
+        # one bit over is over
+        with pytest.raises(BoundRefusedError, match="4 bits exceeds the declared bound 3"):
+            find_crossed_cell(lambda y: Message(y.bits[:4]), 8, 3)
 
     def test_every_fixed_length_function_is_caught_at_the_smallest_scale(self):
         # exhaustively: any one-bit message over the six half-weight layers

@@ -18,7 +18,6 @@ from mpjlab.bucketing import (
     bucketing_protocol_doubling,
     doubling_plan,
     iterated_log,
-    log_star,
 )
 from mpjlab.core import (
     LayerFunction,
@@ -98,13 +97,6 @@ class TestIteratedLog:
             iterated_log(0, 1)
         with pytest.raises(ValueError):
             iterated_log(4, -1)
-
-    def test_log_star(self):
-        assert [log_star(n) for n in (1, 2, 4, 5, 8, 16, 32, 65536)] == [
-            0, 1, 2, 3, 3, 3, 4, 4,
-        ]
-        with pytest.raises(ValueError):
-            log_star(0)
 
 
 class TestBuckets:
@@ -288,8 +280,7 @@ class TestDoublingProtocol:
         assert report.per_player_max_bits[0] == 16
 
     def test_total_cost_stays_linear(self):
-        for n in (8, 16, 32):
-            k = log_star(n) + 2
+        for n, k in ((8, 5), (16, 5), (32, 6)):  # k = log* n + 2
             proto = bucketing_protocol_doubling(n, k)
             insts = sample_instances(n, k, Variant.MPJ_HAT, all_perm_mask(k), count=200, seed=n)
             report = verify(proto, insts)

@@ -22,8 +22,8 @@ from mpjlab.cli import SEED_ENV_VAR, main
 from mpjlab.core import Instance, LayerFunction, Variant, instance_from_dict, sample_instances
 from mpjlab import registry
 from mpjlab.covers import build_d_cover
-from mpjlab.families import constant_protocol
-from mpjlab.jump import mpjk_sublinear, naive_perm_protocol
+from mpjlab.families import constant_protocol, truncating_protocol
+from mpjlab.jump import index_protocol, mpjk_sublinear, naive_perm_protocol
 from mpjlab.registry import (
     BASE_NAMES,
     MAX_PLAYERS,
@@ -272,6 +272,18 @@ class TestVerify:
         assert payload["per_player_max_bits"] == [3, 1]
         assert "first_failure" not in payload
 
+    def test_bucketing_meets_its_bound_off_powers_of_two(self, capsys):
+        # at n = 100 the survivor caps ceil(100 / 2^b) are reached, so the
+        # worst prefix is the bound itself
+        code, out, _ = run_cli(
+            capsys, "verify", "--protocol", "bucketing", "--n", "100", "--k", "4",
+            "--samples", "50", "--seed", "0", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["worst_prefix_cost"] == 566 and payload["bound"] == 566.0
+        assert payload["bound_ok"] is True
+
     def test_failures_exit_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--protocol", "broken-const", "--n", "4",
@@ -487,6 +499,24 @@ class TestCover:
     def test_invalid_layer_values(self, capsys):
         code, _, err = run_cli(capsys, "cover", "--f", "1,5", "--d", "1")
         assert code == 2 and "error" in err
+
+    def test_writes_its_json_in_batches(self, monkeypatch, tmp_path):
+        # 256 members of 256 points are about 66,000 encoder chunks; they
+        # reach stdout in a few dozen writes, and as the file's bytes
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = ["cover", "--f", ",".join(str(v) for v in range(1, 257)), "--d", "256"]
+        target = tmp_path / "cover.json"
+        assert main(argv) == 0 and main([*argv, "--output", str(target)]) == 0
+        assert stdout.getvalue() == target.read_text(encoding="utf-8") + "\n"
+        assert stdout.writes < 100
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
     def test_streams_its_json_in_bounded_memory(self, tmp_path):
@@ -813,25 +843,13 @@ class TestRegistry:
         names = [n for row in rows for n in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert tuple(names) == BASE_NAMES
 
-    def test_unknown_perm_subprotocol(self):
-        with pytest.raises(ValueError):
-            build_protocol("mpj3-sublinear", n=4, perm_protocol="magic")
-
-    @pytest.mark.parametrize("name", registry.PERM_PROTOCOLS + ("magic",))
-    def test_cli_offers_the_registry_perm_subprotocols(self, capsys, name):
-        code, _, err = run_cli(
-            capsys, "run", "--protocol", "mpj3-sublinear", "--n", "4", "--perm-protocol", name
-        )
-        if name in registry.PERM_PROTOCOLS:
-            assert code == 0 and err == ""
-        else:
-            assert code == 2 and f"invalid choice: {name!r}" in err
-
     def test_cost_bounds(self):
         assert cost_bound("index", n=8, k=2, d=None) == 8.0
         assert cost_bound("mpj3-sublinear", n=8, k=3, d=2) == 36.0
         assert cost_bound("mpjk-sublinear", n=8, k=4, d=2) == 66.0
         assert cost_bound("bucketing", n=8, k=3, d=None) == 30.0
+        # widths (2, 3, 7): 200 + (100 + 25 * 3) + (100 + ceil(100 / 8) * 7)
+        assert cost_bound("bucketing", n=100, k=4, d=None) == 566.0
         assert cost_bound("truncate3", n=8, k=3, d=None) is None
 
 
@@ -889,6 +907,56 @@ class TestCrashingPlayers:
         )
         assert code == 1 and out == ""
         assert err == "error: no answer for start 1\n"
+
+
+def raising(handle: ProtocolHandle, j: int) -> BuiltProtocol:
+    """`handle`, except that player j looks up a key that is not there."""
+    players = list(handle.players)
+    players[j - 1] = lambda view: {}["missing"]
+    return BuiltProtocol(
+        dataclasses.replace(handle, players=tuple(players)), handle.variant, None
+    )
+
+
+class TestRaisingPlayers:
+    """A player that raises an arbitrary exception is a failed run: one
+    error line from run and attack, a recorded failure from verify."""
+
+    ERROR = "player 2 raised KeyError: 'missing'"
+
+    def test_verify_records_the_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "mpjlab.cli.build_protocol", lambda name, *, n, **kw: raising(index_protocol(n), 2)
+        )
+        code, out, _ = run_cli(
+            capsys, "verify", "--protocol", "index", "--n", "3", "--exhaustive",
+            "--format", "json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["checked"] == 24 and payload["failures"] == 24
+        first = payload["first_failure"]
+        assert first["got"] is None
+        assert first["error"] == f"ProtocolContractError: {self.ERROR}"
+        assert instance_from_dict(first["instance"]).n == 3
+
+    def test_run_prints_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "mpjlab.cli.build_protocol", lambda name, *, n, **kw: raising(index_protocol(n), 2)
+        )
+        code, out, err = run_cli(capsys, "run", "--protocol", "index", "--n", "3")
+        assert code == 1 and out == ""
+        assert err == f"error: {self.ERROR}\n"
+
+    def test_attack_prints_one_error_line(self, capsys, monkeypatch):
+        # player 2 is first called by the cell search, outside any run
+        monkeypatch.setattr(
+            "mpjlab.cli.build_protocol",
+            lambda name, *, n, **kw: raising(truncating_protocol(n, 3, 2), 2),
+        )
+        code, out, err = run_cli(capsys, "attack", "--protocol", "truncate2", "--n", "8")
+        assert code == 1 and out == ""
+        assert err == f"error: {self.ERROR}\n"
 
 
 class TestReadmeExamples:

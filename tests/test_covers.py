@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from mpjlab.core import LayerFunction
 from mpjlab.covers import (
     CoverSet,
+    _fibers_and_pads,
     build_d_cover,
-    build_fiber_partition,
     build_sd_cover,
     verify_d_cover,
     verify_sd_cover,
@@ -24,6 +24,17 @@ from mpjlab.covers import (
 
 def layer(*values):
     return LayerFunction(len(values), tuple(values))
+
+
+def fiber_partition(f):
+    """(range values, their fibers, their matched blocks), read off the
+    construction's one grouping pass."""
+    parts = _fibers_and_pads(f)
+    return (
+        tuple(s for s, _, _ in parts),
+        tuple(tuple(fib) for _, fib, _ in parts),
+        tuple(tuple(sorted(pad + [s])) for s, _, pad in parts),
+    )
 
 
 def all_functions(n):
@@ -40,31 +51,27 @@ layers_st = st.integers(2, 6).flatmap(
 
 class TestFiberPartition:
     def test_two_even_fibers(self):
-        fp = build_fiber_partition(layer(2, 2, 4, 4))
-        assert fp.range_values == (2, 4)
-        assert fp.fibers == ((1, 2), (3, 4))
-        assert fp.blocks == ((1, 2), (3, 4))
+        assert fiber_partition(layer(2, 2, 4, 4)) == ((2, 4), ((1, 2), (3, 4)), ((1, 2), (3, 4)))
 
     def test_single_fiber_takes_whole_domain(self):
-        fp = build_fiber_partition(layer(3, 3, 3, 3))
-        assert fp.fibers == ((1, 2, 3, 4),)
-        assert fp.blocks == ((1, 2, 3, 4),)
+        _, fibers, blocks = fiber_partition(layer(3, 3, 3, 3))
+        assert fibers == ((1, 2, 3, 4),)
+        assert blocks == ((1, 2, 3, 4),)
 
     def test_spares_fill_smallest_first(self):
-        fp = build_fiber_partition(layer(4, 4, 1, 2))
-        assert fp.range_values == (1, 2, 4)
-        assert fp.fibers == ((3,), (4,), (1, 2))
-        assert fp.blocks == ((1,), (2,), (3, 4))
+        assert fiber_partition(layer(4, 4, 1, 2)) == (
+            (1, 2, 4), ((3,), (4,), (1, 2)), ((1,), (2,), (3, 4))
+        )
 
     @given(layers_st)
     def test_blocks_partition_the_domain(self, f):
-        fp = build_fiber_partition(f)
-        flat = [b for block in fp.blocks for b in block]
+        range_values, fibers, blocks = fiber_partition(f)
+        flat = [b for block in blocks for b in block]
         assert sorted(flat) == list(range(1, f.n + 1))
-        for s, block in zip(fp.range_values, fp.blocks):
+        for s, block in zip(range_values, blocks):
             assert s in block
-            assert set(block) & set(fp.range_values) == {s}
-        for fib, block in zip(fp.fibers, fp.blocks):
+            assert set(block) & set(range_values) == {s}
+        for fib, block in zip(fibers, blocks):
             assert len(fib) == len(block)
 
 
@@ -111,10 +118,9 @@ class TestPlainCovers:
         # distinct targets, one of which is the fiber's output value
         # whenever the fiber is small enough
         for f in all_functions(4):
-            fp = build_fiber_partition(f)
             for d in range(1, 5):
                 cover = build_d_cover(f, d)
-                for s, fib, block in zip(fp.range_values, fp.fibers, fp.blocks):
+                for s, fib, block in zip(*fiber_partition(f)):
                     for point in fib:
                         seen = {pi(point) for pi in cover.perms}
                         assert len(seen) == min(d, len(block))

@@ -42,9 +42,8 @@ from mpjlab.core import (
     sample_instances,
 )
 from mpjlab.covers import (
-    FiberPartition,
+    _fibers_and_pads,
     build_d_cover,
-    build_fiber_partition,
     build_sd_cover,
     verify_d_cover,
     verify_sd_cover,
@@ -161,7 +160,7 @@ def ref_fiber_partition(f):
     for s, fib in zip(range_values, fibers):
         block = [s] + [spare.pop() for _ in range(len(fib) - 1)]
         blocks.append(tuple(sorted(block)))
-    return FiberPartition(f.n, range_values, fibers, tuple(blocks))
+    return range_values, fibers, tuple(blocks)
 
 
 def ref_verify_d_cover(perms, f, d):
@@ -205,15 +204,14 @@ def ref_rotations(ordered_fibers, ordered_blocks, n, d):
 
 
 def ref_d_cover(f, d):
-    fp = ref_fiber_partition(f)
-    return ref_rotations(fp.fibers, fp.blocks, f.n, d)
+    _, fibers, blocks = ref_fiber_partition(f)
+    return ref_rotations(fibers, blocks, f.n, d)
 
 
 def ref_sd_cover(f, scope, d):
-    fp = ref_fiber_partition(f)
     ordered_fibers = []
     ordered_blocks = []
-    for s, fib, block in zip(fp.range_values, fp.fibers, fp.blocks):
+    for s, fib, block in zip(*ref_fiber_partition(f)):
         inside = tuple(r for r in fib if r in scope)
         outside = tuple(r for r in fib if r not in scope)
         ordered_fibers.append(inside + outside)
@@ -671,7 +669,9 @@ class TestFiberCounting:
 
     def test_fiber_partition_matches_fiber_scans(self):
         for f in seeded_layers(7, 500):
-            assert build_fiber_partition(f) == ref_fiber_partition(f)
+            assert [
+                (s, tuple(fib), tuple(sorted(pad + [s]))) for s, fib, pad in _fibers_and_pads(f)
+            ] == list(zip(*ref_fiber_partition(f)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_cover_checks_match_fiber_scans(self, d):
