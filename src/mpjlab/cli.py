@@ -122,6 +122,8 @@ def _check(
 
 def cmd_run(args: argparse.Namespace) -> int:
     built = _build(args, args.n)
+    if args.emit_buckets and built.bucket_plan is None:
+        raise ValueError("--emit-buckets only applies to the bucketing protocols")
     if args.instance is not None:
         with open(args.instance, "r", encoding="utf-8") as fh:
             try:
@@ -149,8 +151,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "correct": transcript.output == expected,
     }
     if args.emit_buckets:
-        if built.bucket_plan is None:
-            raise ValueError("--emit-buckets only applies to the bucketing protocols")
         payload["buckets"] = bucket_report(built.bucket_plan, transcript.messages)
     _emit(payload, args.output)
     return 0

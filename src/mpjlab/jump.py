@@ -12,7 +12,10 @@ misses. Each later player answers every opening blindly; the last player
 picks the one opening whose stand-in agrees with the pointer they can
 compute, or falls back to a shipped raw bit. Message framing carries no
 length headers: every part's size is a function of (n, d, m) and data
-every reader can already see.
+every reader can already see. Each cover-protocol player assembles their
+message as one packed int and emits a single `Message`: the first shifts
+every opening and raw bit into it, and a middle player reads each opening
+straight from the first message's int and shifts in each reply.
 
 The first and the last player both see f_2..f_{k-1}, so both derive the
 same surviving sets and the same level covers from them. That derivation
@@ -38,6 +41,7 @@ from .sim import (
     ProtocolInvariantError,
     ViewKind,
     _packed,
+    _window,
 )
 
 
@@ -191,26 +195,6 @@ def _plan(
     return levels, covers, tuple(sorted(levels[-1]))
 
 
-def _alpha_block(P: PermProtocol3, cover: CoverSet, x: BitVector) -> Message:
-    outs = []
-    for pi in cover.perms:
-        a = P.alpha(pi, x)
-        if len(a) != P.m:
-            raise ProtocolContractError(f"alpha produced {len(a)} bits, expected {P.m}")
-        outs.append(a)
-    return Message.concat(outs)
-
-
-def _beta_block(P: PermProtocol3, pointer: int, x: BitVector, alphas: Message, d: int) -> Message:
-    outs = []
-    for a in alphas.chunks(P.m) if P.m else (Message(),) * d:
-        b = P.beta(pointer, x, a)
-        if len(b) != P.m:
-            raise ProtocolContractError(f"beta produced {len(b)} bits, expected {P.m}")
-        outs.append(b)
-    return Message.concat(outs)
-
-
 def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
     """k players, arbitrary middle layers, cover parameter d.
 
@@ -234,19 +218,31 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
         middles = view.later_layers
         x = view.final_bits
         _, covers, last = _plan(middles, d)
-        suffixes = bit_suffixes(x, middles)  # suffixes[lvl] collapses middles[lvl:]
-        parts = [_alpha_block(P, cover, suffix) for cover, suffix in zip(covers, suffixes[1:])]
-        raw = 0
+        packed = length = 0
+        # one suffix per level: bit_suffixes[t] collapses middles[1 + t:]
+        for cover, suffix in zip(covers, bit_suffixes(x, middles[1:])):
+            for pi in cover.perms:
+                a = P.alpha(pi, suffix)
+                if len(a) != m:
+                    raise ProtocolContractError(f"alpha produced {len(a)} bits, expected {m}")
+                packed = (packed << m) | a.value
+                length += m
         for s in last:  # the checked bits, read as Message reads them
-            raw = (raw << 1) | (x.bits[s - 1] == 1)
-        parts.append(_packed(raw, len(last)))
-        return Message.concat(parts)
+            packed = (packed << 1) | (x.bits[s - 1] == 1)
+        return _packed(packed, length + len(last))
 
     def replies_for(j: int) -> Callable[[PlayerView], Message]:
         def speak_replies(view: PlayerView) -> Message:
-            pointer = view.walked
-            alphas = view.messages[0].slice((j - 2) * d * m, (j - 1) * d * m)
-            return _beta_block(P, pointer, view.suffix, alphas, d)
+            pointer, suffix = view.walked, view.suffix
+            openings = _window(view.messages[0], (j - 2) * d * m, (j - 1) * d * m)
+            mask = (1 << m) - 1
+            packed = 0
+            for t in range(d - 1, -1, -1):  # the first opening is the highest m bits
+                b = P.beta(pointer, suffix, _packed((openings >> (t * m)) & mask, m))
+                if len(b) != m:
+                    raise ProtocolContractError(f"beta produced {len(b)} bits, expected {m}")
+                packed = (packed << m) | b.value
+            return _packed(packed, d * m)
 
         return speak_replies
 

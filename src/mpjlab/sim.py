@@ -125,10 +125,7 @@ class Message:
         return (self.value >> (self.length - 1 - t)) & 1
 
     def slice(self, start: int, stop: int) -> "Message":
-        if not 0 <= start <= stop <= self.length:
-            raise ValueError(f"slice [{start}, {stop}) outside message of {self.length} bits")
-        width = stop - start
-        return _packed((self.value >> (self.length - stop)) & ((1 << width) - 1), width)
+        return _packed(_window(self, start, stop), stop - start)
 
     def chunks(self, width: int) -> tuple["Message", ...]:
         length = self.length
@@ -183,6 +180,14 @@ def _packed(value: int, length: int) -> Message:
     _setattr(msg, "value", value)
     _setattr(msg, "length", length)
     return msg
+
+
+def _window(msg: Message, start: int, stop: int) -> int:
+    """Bits [start, stop) of msg as a big-endian int, bounds-checked as
+    `slice` checks them; for readers that split the window themselves."""
+    if not 0 <= start <= stop <= msg.length:
+        raise ValueError(f"slice [{start}, {stop}) outside message of {msg.length} bits")
+    return (msg.value >> (msg.length - stop)) & ((1 << (stop - start)) - 1)
 
 
 def pointer_width(n: int) -> int:

@@ -109,6 +109,20 @@ class TestRun:
         )
         assert code == 2 and "--emit-buckets" in err
 
+    def test_bucket_debug_rejected_before_running(self, capsys, monkeypatch):
+        # the refusal needs only the built protocol: no instance is sampled
+        # and nothing runs before it
+        def ran(*args, **kwargs):
+            raise AssertionError("sampled or ran before refusing --emit-buckets")
+
+        monkeypatch.setattr("mpjlab.cli.sample_instance", ran)
+        monkeypatch.setattr("mpjlab.cli.run", ran)
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "constant", "--n", "4", "--k", "3", "--emit-buckets"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --emit-buckets only applies to the bucketing protocols\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code, out, _ = run_cli(

@@ -5,8 +5,10 @@ f = (1,1,2) and d = 1 the single cover permutation is (3,1,2), value 1
 is the only heavy point, so the first message is x followed by x_1.
 """
 
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from mpjlab.jump import (
     naive_perm_protocol,
 )
 from mpjlab.sim import Message, ProtocolContractError, run, verify
+from test_hot_paths import ref_mpjk_players
 
 
 def layer(*values):
@@ -86,6 +89,24 @@ def permuting_perm_protocol(n):
 
     def gamma(i, pi, a, b):
         return a.bits[i - 1]
+
+    return PermProtocol3(n, alpha, beta, gamma)
+
+
+def rotating_perm_protocol(n):
+    """Order-sensitive subprotocol: the opening lists x along pi, the reply
+    is the opening rotated left by i, and the answer is the reply's last
+    bit, x(pi(i)). An answer read from another opening's reply is wrong."""
+
+    def alpha(pi, x):
+        return Message.from_bits(x(pi(r)) for r in range(1, n + 1))
+
+    def beta(i, x, a):
+        text = a.to01()
+        return Message.from01(text[i:] + text[:i])
+
+    def gamma(i, pi, a, b):
+        return b.bit(n - 1)
 
     return PermProtocol3(n, alpha, beta, gamma)
 
@@ -273,3 +294,55 @@ class TestKPlayerSublinear:
         [inst] = sample_instances(4, 4, Variant.MPJ, count=1, seed=1)
         with pytest.raises(ProtocolContractError, match=f"{part} produced 3 bits, expected 4"):
             run(proto, inst)
+
+
+class TestOrderSensitiveSubprotocol:
+    """The naive replies are all zeros and `permuting_perm_protocol`'s all
+    ones, so neither can tell one reply from another; these runs can."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_meets_the_contract(self, n):
+        assert check_perm_protocol3(rotating_perm_protocol(n), n) == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_brute_force_and_the_reference_players(self, d, k):
+        n = 4
+        P = rotating_perm_protocol(n)
+        proto = mpjk_sublinear(P, d, k)
+        ref = dataclasses.replace(proto, players=ref_mpjk_players(P, d, k))
+        insts = list(sample_instances(n, k, Variant.MPJ, count=60, seed=10 * d + k))
+        assert verify(proto, insts).ok
+        for inst in insts:
+            assert run(proto, inst).messages == run(ref, inst).messages
+
+
+class TestMessageFraming:
+    @pytest.mark.parametrize("k, sent, j, window", [(3, 7, 2, (0, 8)), (4, 12, 3, (8, 16))])
+    def test_a_short_first_message_fails_its_reader(self, k, sent, j, window):
+        # player j reads its d*m-bit window of message 1 before any reply
+        n, d = 4, 2
+        proto = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        short = dataclasses.replace(
+            proto, players=(lambda view: Message.from_uint(0, sent), *proto.players[1:])
+        )
+        [inst] = sample_instances(n, k, Variant.MPJ, count=1, seed=1)
+        a, b = window
+        text = f"player {j} raised ValueError: slice [{a}, {b}) outside message of {sent} bits"
+        with pytest.raises(ProtocolContractError, match=f"^{re.escape(text)}$"):
+            run(short, inst)
+
+    def test_zero_width_subprotocol_still_replies_d_times(self):
+        # with m = 0 each middle player calls beta d times on empty openings
+        d, k = 2, 4
+        seen = []
+
+        def beta(i, x, a):
+            seen.append(a)
+            return Message()
+
+        P = PermProtocol3(0, lambda pi, x: Message(), beta, lambda i, pi, a, b: 0)
+        [inst] = sample_instances(3, k, Variant.MPJ, count=1, seed=2)
+        t = run(mpjk_sublinear(P, d, k), inst)
+        assert t.per_player_bits[1:] == (0,) * (k - 2) + (1,)
+        assert seen == [Message()] * (2 * d * (k - 2))  # every call is replayed
