@@ -6,12 +6,13 @@ half-weight layers cross, and there are too many half-weight layers for
 short messages to keep every message class crossing-free: with t at most
 n - log2(n)/2 - 2 message bits, some class must hold a crossing pair.
 
-A layer has one complement, so any three distinct half-weight layers
-sharing a message contain a crossing pair. The cell search streams
-half-weight layers in lexicographic order, files each under the message
-it draws, and stops at the first cell, in stream order, to hold a
-crossing pair: within 2^(t+1) + 1 evaluated layers when every message
-has exactly t bits, and within 2^(t+2) - 1 when messages have at most t.
+The cell search streams half-weight layers in lexicographic order, files
+each under the message it draws, and stops at the first cell, in stream
+order, to hold a crossing pair. Its first C(n, n/2)/2 layers, those with
+x_1 = 0, hold no complements, so any two cross: c < C(n, n/2)/2 message
+classes take at most c + 1 evaluations, 2^t + 1 for exactly t bits and
+2^(t+1) for at most t. A layer has one complement, so three members of a
+cell cross, and 2c + 1 evaluations suffice at any c.
 
 The construction walks a collapsing protocol front to back. At each level
 it runs that search on the messages the next player would send, then
@@ -101,9 +102,10 @@ their declared bits keep 2^(t+2) - 1 evaluations per level small enough.
 
 def worst_case_evaluations(n: int, bounds: Iterable[int]) -> int:
     """Most evaluations the cell search takes over levels whose players
-    declare these bounds: min(C(n, n/2), 2^(t+2) - 1) per level, each level
-    counted only up to 2^64, far past any search that can run. So a sum under
-    2^64 is exact, and C(n, i) is built up for at most 64 steps at any n.
+    declare these bounds: min(C(n, n/2), 2^(t+2) - 1) per level, the 2c + 1
+    bound for messages of at most t bits, which holds at any n. Each level
+    is counted only up to 2^64, far past any search that can run. So a sum
+    under 2^64 is exact, and C(n, i) is built up for at most 64 steps at any n.
     """
     caps = [min(2 ** (t + 2) - 1, 2**64) for t in bounds]
     top = max(caps, default=0)
@@ -143,9 +145,9 @@ def find_crossed_cell(
     Half-weight layers are evaluated in lexicographic order and filed by
     message; each new layer is tested against the earlier members of its
     cell, and the search returns (message, CrossingPair(earlier, new)) on
-    the first hit. Since a cell of three distinct half-weight layers always
-    crosses, this takes at most 2^(t+1) + 1 evaluations when every message
-    has exactly t bits, and 2^(t+2) - 1 when messages have at most t bits.
+    the first hit. Any two of the first C(n, n/2)/2 layers cross, so c
+    message classes take at most c + 1 evaluations when c < C(n, n/2)/2,
+    and 2c + 1 at any c; see the module docstring.
 
     t_bound gates the precondition. For protocols whose messages all share
     one length, the counting argument guarantees a crossed class whenever

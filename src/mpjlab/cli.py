@@ -39,7 +39,6 @@ from .registry import (
     _at_most,
     _cover_d,
     build_protocol,
-    cost_bound,
 )
 from .sim import ProtocolContractError, ProtocolInvariantError, VerifyReport, run, verify
 
@@ -116,7 +115,7 @@ def _check(
     else:
         instances = sample_instances(*space, count=args.samples, seed=args.seed)
     report = verify(handle, instances)
-    bound = cost_bound(args.protocol, n=n, k=handle.k, d=args.d)
+    bound = built.bound
     return report, bound, None if bound is None else report.worst_prefix_cost <= bound
 
 

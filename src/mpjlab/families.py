@@ -28,8 +28,6 @@ def _final_bit(view: PlayerView) -> Message:
 def _handle(
     name: str, n: int, k: int, t: int, speak: Callable[[int], Callable[[PlayerView], Message]]
 ) -> ProtocolHandle:
-    if k < 2:
-        raise ValueError("need at least 2 players")
     players = tuple(speak(j) for j in range(1, k)) + (_final_bit,)
     return ProtocolHandle(
         name=name,

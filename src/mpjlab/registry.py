@@ -10,7 +10,7 @@ their width in the name: truncate4, parity3, hash2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .bucketing import (
@@ -29,7 +29,7 @@ from .families import (
     truncating_protocol,
 )
 from .jump import index_protocol, mpj3_sublinear, mpjk_sublinear, naive_perm_protocol
-from .sim import Message, PlayerView, ProtocolHandle, ViewKind
+from .sim import ProtocolHandle, ViewKind
 
 
 class UnknownProtocolError(ValueError):
@@ -60,32 +60,13 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class BuiltProtocol:
-    """A handle plus the instance space it is meant to run on."""
+    """A handle plus the instance space it is meant to run on and its cost bound."""
 
     handle: ProtocolHandle
     variant: Variant
     perm_mask: tuple[bool, ...] | None  # None: unrestricted layer space
     bucket_plan: BucketPlan | None = None
-
-
-def _broken_const(n: int, k: int) -> ProtocolHandle:
-    """Deliberately wrong: ignores everything and answers 0."""
-
-    def silent(view: PlayerView) -> Message:
-        return Message()
-
-    def zero(view: PlayerView) -> Message:
-        return Message((0,))
-
-    return ProtocolHandle(
-        name="broken-const",
-        k=k,
-        variant=Variant.MPJ,
-        view_kind=ViewKind.FULL_ONE_WAY,
-        players=(silent,) * (k - 1) + (zero,),
-        n=n,
-        declared_max_bits=(0,) * (k - 1) + (1,),
-    )
+    bound: float | None = None  # cost before the output message; None: no formula
 
 
 def _cover_d(d: int, n: int) -> int:
@@ -164,7 +145,13 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     ),
     "bucketing": _bucketing(bucketing_protocol, bucket_width_plan),
     "bucketing-doubling": _bucketing(bucketing_protocol_doubling, doubling_plan),
-    "broken-const": ProtocolSpec(lambda p: _broken_const(p.n, p.k), default_k=3),
+    # deliberately wrong: `constant` (silence, then 0) on a full one-way view
+    "broken-const": ProtocolSpec(
+        lambda p: replace(
+            constant_protocol(p.n, p.k), name="broken-const", view_kind=ViewKind.FULL_ONE_WAY
+        ),
+        default_k=3,
+    ),
     "constant": ProtocolSpec(lambda p: constant_protocol(p.n, p.k), default_k=3),
     "truncate<t>": ProtocolSpec(lambda p: truncating_protocol(p.n, p.k, p.t), default_k=3),
     "parity<t>": ProtocolSpec(
@@ -210,10 +197,10 @@ def build_protocol(
         handle.variant,
         (True,) * (handle.k - 1) if spec.permutation_layers else None,
         spec.bucket_plan(n, handle.k) if spec.bucket_plan else None,
+        spec.bound(params) if spec.bound else None,
     )
 
 
 def cost_bound(name: str, *, n: int, k: int, d: int | None) -> float | None:
     """The matching cost formula for a protocol's non-output communication."""
-    spec, params = _lookup(name, n=n, k=k, d=d, seed=0)
-    return spec.bound(params) if spec.bound else None
+    return build_protocol(name, n=n, k=k, d=d).bound

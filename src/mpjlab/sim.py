@@ -350,13 +350,17 @@ def _decode_output(last: Message, n: int, variant: Variant) -> int:
 def call_player(fn: Callable[[PlayerView], Message], view: PlayerView) -> Message:
     """Player view.j's message on `view`. Any exception but the two protocol
     errors becomes a ProtocolContractError naming the player and what they
-    raised, so a crash fails the run instead of escaping as a traceback."""
+    raised, so a crash fails the run instead of escaping as a traceback, and
+    so does a return value that is not a Message."""
     try:
-        return fn(view)
+        msg = fn(view)
     except (ProtocolContractError, ProtocolInvariantError):
         raise
     except Exception as exc:
         raise ProtocolContractError(f"player {view.j} raised {type(exc).__name__}: {exc}") from exc
+    if not isinstance(msg, Message):
+        raise ProtocolContractError(f"player {view.j} returned {type(msg).__name__}, not a Message")
+    return msg
 
 
 def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
@@ -376,8 +380,6 @@ def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
         view = make_view(inst, j, protocol.view_kind, tuple(messages), derived=derived)
         msg = call_player(fn, view)
         replay = call_player(fn, view)
-        if not isinstance(msg, Message):
-            raise ProtocolContractError(f"player {j} returned {type(msg).__name__}, not a Message")
         if msg != replay:
             raise ProtocolContractError(f"player {j} is nondeterministic on replay")
         if protocol.declared_max_bits is not None:

@@ -5,6 +5,7 @@ x' = 0101 realizes each of the four patterns exactly once, at positions
 1, 2, 3, 4 respectively.
 """
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -35,7 +36,7 @@ from mpjlab.families import (
     truncating_protocol,
 )
 from mpjlab.jump import index_protocol
-from mpjlab.sim import Message, ProtocolHandle, ViewKind, run
+from mpjlab.sim import Message, ProtocolContractError, ProtocolHandle, ViewKind, run
 
 
 def bits(text):
@@ -223,6 +224,17 @@ class TestStreamingSearch:
             for seed in range(25):
                 assert self.search(n, seed, t, variable) <= 2 * cells + 1
 
+    @pytest.mark.parametrize("variable", (False, True))
+    @pytest.mark.parametrize("n", (6, 8))
+    def test_evaluations_within_the_class_count_plus_one(self, n, variable):
+        # the first C(n, n/2)/2 layers all have x_1 = 0, so any two cross:
+        # with fewer classes than that, a cell stops at its second member
+        for t in range(1, min(3, math.floor(max_message_bits(n))) + 1):
+            cells = 2 ** (t + 1) - 1 if variable else 2**t
+            assert cells < math.comb(n, n // 2) // 2
+            for seed in range(25):
+                assert self.search(n, seed, t, variable) <= cells + 1
+
     def test_silent_player_stops_at_the_second_layer(self):
         assert self.search(16, 0, 0, variable=False) == 2
 
@@ -318,6 +330,38 @@ class TestBuildFoolingInputs:
                 dataclasses.replace(proto, players=tuple(map(counted, proto.players)))
             )
             assert 0 < calls <= worst_case_evaluations(n, proto.declared_max_bits[: k - 1])
+
+    @pytest.mark.parametrize("k", (3, 4, 6))
+    @pytest.mark.parametrize("n", (8, 10, 12, 16))
+    def test_each_level_within_two_to_the_t_plus_one(self, n, k):
+        # every family member sends exactly t bits, so a level sees at most
+        # 2^t classes and stops within 2^t + 1 evaluations
+        for proto in collapsing_family(n, k, 13, seed=n + k):
+            calls = collections.Counter()
+
+            def counted(fn):
+                def player(view):
+                    calls[view.j] += 1
+                    return fn(view)
+
+                return player
+
+            build_fooling_inputs(
+                dataclasses.replace(proto, players=tuple(map(counted, proto.players)))
+            )
+            assert sorted(calls) == list(range(1, k))
+            for j, count in calls.items():
+                assert count <= 2 ** proto.declared_max_bits[j - 1] + 1, (proto.name, j)
+
+    @pytest.mark.parametrize("returned", (1, "10", (1, 0)), ids=("int", "str", "tuple"))
+    def test_non_message_in_the_cell_search_is_a_contract_error(self, returned):
+        proto = truncating_protocol(8, 3, 2)
+        players = (lambda view: returned,) + proto.players[1:]
+        with pytest.raises(
+            ProtocolContractError,
+            match=f"^player 1 returned {type(returned).__name__}, not a Message$",
+        ):
+            build_fooling_inputs(dataclasses.replace(proto, players=players))
 
 
 class TestVerifyFooling:

@@ -664,6 +664,20 @@ class TestPlayerCountRange:
     def test_library_takes_any_k(self):
         assert constant_protocol(4, MAX_PLAYERS + 1).k == MAX_PLAYERS + 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--protocol", "constant", "--n", "8", "--k", "1"),
+            ("attack", "--protocol", "truncate2", "--n", "8", "--k", "1"),
+            ("verify", "--protocol", "broken-const", "--n", "8", "--k", "1", "--samples", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_fewer_than_two_players_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: protocols need at least 2 players\n"
+
 
 class TestWidthRange:
     """Every registry protocol, and `cover --f`, takes n <= MAX_WIDTH; a wider
@@ -865,6 +879,13 @@ class TestRegistry:
         # widths (2, 3, 7): 200 + (100 + 25 * 3) + (100 + ceil(100 / 8) * 7)
         assert cost_bound("bucketing", n=100, k=4, d=None) == 566.0
         assert cost_bound("truncate3", n=8, k=3, d=None) is None
+
+    @pytest.mark.parametrize("base", BASE_NAMES)
+    def test_cost_bound_is_the_built_bound(self, base):
+        name = base.replace("<t>", "2")
+        k = None if registry.PROTOCOLS[base].fixed_k else 4
+        built = build_protocol(name, n=8, k=k, d=2)
+        assert cost_bound(name, n=8, k=built.handle.k, d=2) == built.bound
 
 
 def crashing_index(n: int) -> BuiltProtocol:

@@ -59,6 +59,9 @@ COMMANDS = (
     "attack --protocol index --n 8",
     "attack --protocol hash4 --n 32 --k 4 --seed 1",
     "attack --protocol truncate24 --n 32 --k 4",
+    "attack --protocol broken-const --n 8",
+    "verify --protocol broken-const --n 2 --k 5 --exhaustive",
+    "bench --protocol broken-const --n 2,4 --k 2 --samples 5",
 )
 
 

@@ -304,6 +304,19 @@ class TestRun:
         with pytest.raises(ProtocolContractError, match="not a Message"):
             run(proto, MpjInstance(2, 2, 1, (), bits("01")))
 
+    def test_alternating_non_message_is_reported_by_type(self):
+        # the type is checked on every call, before the replay is compared
+        calls = itertools.count()
+
+        def flaky(view):
+            return 0 if next(calls) & 1 else Message((0,))
+
+        proto = ProtocolHandle(
+            "flaky", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY, (lambda v: Message(), flaky)
+        )
+        with pytest.raises(ProtocolContractError, match="^player 2 returned int, not a Message$"):
+            run(proto, MpjInstance(2, 2, 1, (), bits("01")))
+
     def test_boolean_output_must_be_one_bit(self):
         proto = ProtocolHandle(
             "wide", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
