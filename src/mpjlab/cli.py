@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 when verification found failures (or an attack
 did not fool its target or found no crossed cell, or a player raised or broke
 the protocol contract), 2 on usage/configuration errors. Output is a pure
 function of the arguments plus the seed; the default seed comes from the
-MPJLAB_SEED environment variable (0 when unset).
+MPJLAB_SEED environment variable (0 when unset). A seed is at least 0.
 """
 
 from __future__ import annotations
@@ -45,12 +45,24 @@ from .sim import ProtocolContractError, ProtocolInvariantError, VerifyReport, ru
 SEED_ENV_VAR = "MPJLAB_SEED"
 
 
+def _seed(text: str) -> int:
+    """A seed is an integer of at least 0: `random.Random` seeds with
+    |seed|, so -s would repeat the instances of seed s."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return value
+
+
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        return _seed(raw)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer of at least 0, got {raw!r}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -324,8 +336,8 @@ def _add_protocol_args(p: argparse.ArgumentParser, *, seed: int) -> None:
     p.add_argument("--protocol", required=True, help="registry name, e.g. index, bucketing")
     p.add_argument("--k", type=int, default=None, help="player count (protocol default if omitted)")
     p.add_argument("--d", type=int, default=None, help="cover parameter for the sublinear protocols")
-    p.add_argument("--seed", type=int, default=seed,
-                   help=f"RNG seed (default from ${SEED_ENV_VAR}, else 0)")
+    p.add_argument("--seed", type=_seed, default=seed,
+                   help=f"RNG seed, at least 0 (default from ${SEED_ENV_VAR}, else 0)")
     p.add_argument("--output", default=None, help="write here instead of stdout")
 
 

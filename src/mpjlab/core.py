@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class Variant(Enum):
@@ -414,13 +414,12 @@ def enumerate_instances(
 
     layer_spaces = [_layer_space(n, need_perm) for need_perm in mask]
     if variant is Variant.MPJ:
+        bit_layers = [BitVector(n, bits) for bits in itertools.product((0, 1), repeat=n)]
         for combo in itertools.product(
-            range(1, n + 1),
-            *[list(space) for space in layer_spaces],
-            itertools.product((0, 1), repeat=n),
+            range(1, n + 1), *[list(space) for space in layer_spaces], bit_layers
         ):
-            i, *layers, bits = combo
-            yield MpjInstance(n, k, i, tuple(layers), BitVector(n, tuple(bits)))
+            i, *layers, x = combo
+            yield MpjInstance(n, k, i, tuple(layers), x)
     else:
         for combo in itertools.product(
             range(1, n + 1), *[list(space) for space in layer_spaces]
@@ -429,12 +428,36 @@ def enumerate_instances(
             yield MpjHatInstance(n, k, i, tuple(layers), mask)
 
 
-def _sample_layer(rng: random.Random, n: int, need_perm: bool) -> LayerFunction:
-    if need_perm:
-        vals = list(range(1, n + 1))
-        rng.shuffle(vals)
-        return LayerFunction(n, tuple(vals))
-    return LayerFunction(n, tuple(rng.randint(1, n) for _ in range(n)))
+def _randints(getrandbits: Callable[[int], int], low: int, high: int, count: int) -> list[int]:
+    """`count` values in [low, high], drawn as `Random.randint(low, high)` draws each.
+
+    That is low plus a draw below m = high - low + 1 by the rule that
+    `randint`, `randrange` and `shuffle` share in CPython 3.10-3.13:
+    `getrandbits(m.bit_length())`, drawn again while it is at least m.
+    """
+    m = high - low + 1
+    width = m.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(width)
+        while r >= m:
+            r = getrandbits(width)
+        out.append(low + r)
+    return out
+
+
+def _sample_layer(getrandbits: Callable[[int], int], n: int, need_perm: bool) -> LayerFunction:
+    if not need_perm:
+        return LayerFunction(n, tuple(_randints(getrandbits, 1, n, n)))
+    # shuffle's swaps on [1..n]: position t with a draw below t + 1
+    vals = list(range(1, n + 1))
+    for t in range(n - 1, 0, -1):
+        width = (t + 1).bit_length()
+        j = getrandbits(width)
+        while j > t:
+            j = getrandbits(width)
+        vals[t], vals[j] = vals[j], vals[t]
+    return LayerFunction(n, tuple(vals))
 
 
 def sample_instance(
@@ -461,14 +484,34 @@ def sample_instances(
     """Deterministic stream of `count` uniform instances from one seeded source.
 
     Each instance draws i, then each layer, then (Boolean) the bit layer.
+    The stream is defined by `random.Random(seed).getrandbits` draws with
+    rejection: a value below m is `getrandbits(m.bit_length())`, drawn
+    again while it is at least m. The start pointer and each function
+    value are 1 plus a draw below n, a permutation layer is `shuffle`'s
+    swaps applied to [1..n], and each bit is a draw below 2. These are the
+    draws `randint` and `shuffle` make, and sha256 digests of sampled
+    streams in the tests pin them. The seed must be at least 0: `Random`
+    seeds with |seed|, so -s would repeat the stream of s.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     mask = _normalized_mask(k, variant, perm_mask)
-    rng = random.Random(seed)
+    return _sampled(n, k, variant, mask, count, random.Random(seed).getrandbits)
+
+
+def _sampled(
+    n: int,
+    k: int,
+    variant: Variant,
+    mask: tuple[bool, ...],
+    count: int,
+    getrandbits: Callable[[int], int],
+) -> Iterator[Instance]:
     for _ in range(count):
-        i = rng.randint(1, n)
-        layers = tuple(_sample_layer(rng, n, need_perm) for need_perm in mask)
+        i = _randints(getrandbits, 1, n, 1)[0]
+        layers = tuple(_sample_layer(getrandbits, n, need_perm) for need_perm in mask)
         if variant is Variant.MPJ:
-            bits = BitVector(n, tuple(rng.randint(0, 1) for _ in range(n)))
+            bits = BitVector(n, tuple(_randints(getrandbits, 0, 1, n)))
             yield MpjInstance(n, k, i, layers, bits)
         else:
             yield MpjHatInstance(n, k, i, layers, mask)

@@ -166,6 +166,9 @@ def build_sj_chain(middles: Sequence[LayerFunction], d: int) -> SjChain:
     for f in middles:
         if f.n != n:
             raise ValueError("chain layers must share one width")
+        if not levels[-1]:  # no survivor has preimages in an empty level
+            levels.append(levels[-1])
+            continue
         counts = _fiber_sizes(f, levels[-1])  # counts[0] stays 0, never over d
         levels.append(frozenset([s for s, c in enumerate(counts) if c > d]))
     return SjChain(n, d, tuple(levels))

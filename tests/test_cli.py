@@ -840,6 +840,33 @@ class TestSeedEnvironment:
         code, _, err = run_cli(capsys, "run", "--protocol", "index", "--n", "4")
         assert code == 2 and SEED_ENV_VAR in err
 
+    # random.Random seeds with |seed|, so a negative seed would repeat the
+    # instance of its absolute value; both sources refuse it up front
+    def test_negative_seed_is_refused(self, capsys, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "mpjk-sublinear", "--n", "8", "--k", "4",
+            "--d", "2", "--seed", "-3",
+        )
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert (code, out) == (2, "")
+        assert len(errors) == 1 and "--seed" in errors[0] and "'-3'" in errors[0]
+
+    def test_negative_env_seed_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", "mpjk-sublinear", "--n", "8", "--k", "4", "--d", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {SEED_ENV_VAR} must be an integer of at least 0, got '-3'"]
+
+    def test_seed_zero_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "0")
+        code, from_env, _ = run_cli(capsys, "run", "--protocol", "index", "--n", "4")
+        monkeypatch.delenv(SEED_ENV_VAR)
+        _, explicit, _ = run_cli(capsys, "run", "--protocol", "index", "--n", "4", "--seed", "0")
+        assert code == 0 and from_env == explicit
+
 
 class TestRegistry:
     def test_every_base_name_builds(self):

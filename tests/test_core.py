@@ -4,7 +4,9 @@ The expected answers below were computed by hand-unrolling the layer
 compositions independently of the library code, then frozen.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,55 @@ class TestEnumeration:
         assert len(insts) == 3 * 6 * 8
         assert all(inst.middles[0].is_permutation for inst in insts)
 
+    def test_each_bit_layer_is_built_once(self):
+        insts = list(enumerate_instances(3, 4, Variant.MPJ))
+        assert len({id(inst.x) for inst in insts}) <= 2**3
+
+
+def stream_digest(insts):
+    """sha256 of the JSON list of the instances' shared dict forms."""
+    return hashlib.sha256(
+        json.dumps([instance_to_dict(inst) for inst in insts]).encode()
+    ).hexdigest()
+
+
+# Recorded from the stream `randint` and `shuffle` drew, before sampling
+# read `getrandbits` itself: 50 instances at seed 7 per sampled stream.
+SAMPLED_DIGESTS = [
+    (1, 3, Variant.MPJ, None,
+     "76212c9447b7664bac303309f7ac45d74391b0718bc2c3d23d3bcb20c030449b"),
+    (3, 4, Variant.MPJ, None,
+     "cdb15724f44d51d3d6d623ee4e50174f2aa4cdd7dfec23e4efd703346d8ef276"),
+    (16, 6, Variant.MPJ, None,
+     "271ef91d63235a37e0279f9fe9377a60992c849255c155e4aff079815d5b82df"),
+    (33, 5, Variant.MPJ, None,
+     "db2e6489e6c943162986095b0c07fac50e14193081806e4f815ad9433dad8e91"),
+    (16, 5, Variant.MPJ_HAT, (True,) * 4,
+     "aaa6136604da0c3150ab1fcf5327359649742d00e69d6585191e47f466f21f8d"),
+    (1, 3, Variant.MPJ_HAT, (True,) * 2,
+     "d3d416b9c99a8a66148139289f33b0616fc36de6bc1e35cdc52867d590ffb318"),
+    (7, 4, Variant.MPJ_HAT, (True, False, True),
+     "94391918795cba123f839401e2449af8b8e57f94242cba4a53d0687e449a5abc"),
+]
+
+ENUMERATED_DIGESTS = [
+    (3, 4, Variant.MPJ, None,
+     "cde6c0afd8c696de9dfa7f80903fd73b100de21789ee2ec419d1a576da4d07a8"),
+    (4, 3, Variant.MPJ_HAT, (True, True),
+     "3047424ed04958f9e96ef89643af833070a4be630c131c6f0fbb7f297d7f471e"),
+]
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("n, k, variant, mask, digest", SAMPLED_DIGESTS)
+    def test_sampled_stream(self, n, k, variant, mask, digest):
+        insts = sample_instances(n, k, variant, mask, count=50, seed=7)
+        assert stream_digest(insts) == digest
+
+    @pytest.mark.parametrize("n, k, variant, mask, digest", ENUMERATED_DIGESTS)
+    def test_enumerated_space(self, n, k, variant, mask, digest):
+        assert stream_digest(enumerate_instances(n, k, variant, mask)) == digest
+
 
 class TestSampling:
     def test_same_seed_same_instance(self):
@@ -273,6 +324,13 @@ class TestSampling:
         sample_instance(5, 4, Variant.MPJ_HAT, (False,) * 3)
         with pytest.raises(ValueError, match="must have 3 entries, got 2"):
             sample_instance(5, 4, Variant.MPJ_HAT, (False,) * 2)
+
+    def test_negative_seed_is_refused(self):
+        # Random seeds with |seed|, so -3 would repeat seed 3's stream
+        with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
+            sample_instances(4, 3, Variant.MPJ, count=1, seed=-3)
+        with pytest.raises(ValueError):
+            sample_instance(4, 3, Variant.MPJ, seed=-1)
 
     def test_mask_produces_permutations(self):
         inst = sample_instance(16, 4, Variant.MPJ_HAT, (True,) * 3, seed=9)

@@ -24,6 +24,7 @@ from mpjlab.core import (
 )
 from mpjlab.jump import (
     PermProtocol3,
+    SjChain,
     build_sj_chain,
     check_perm_protocol3,
     index_protocol,
@@ -194,6 +195,37 @@ class TestSurvivingChain:
         chain = build_sj_chain((layer(3, 3, 3, 3), layer(1, 1, 1, 2)), 2)
         assert chain.level(2) == frozenset({3})
         assert chain.level(3) == frozenset()
+
+    def test_levels_after_an_empty_level_stay_empty(self):
+        # a permutation leaves no point over d = 1, and nothing can survive
+        # an empty level whatever the later layers are
+        middles = (layer(2, 1, 4, 3), layer(1, 1, 1, 1), layer(3, 3, 3, 3))
+        full, empty = frozenset({1, 2, 3, 4}), frozenset()
+        assert build_sj_chain(middles, 1) == SjChain(4, 1, (full, empty, empty, empty))
+
+    def test_width_is_checked_after_an_empty_level(self):
+        with pytest.raises(ValueError, match="share one width"):
+            build_sj_chain((layer(2, 1), layer(1, 1, 1)), 1)
+
+    @settings(max_examples=80)
+    @given(
+        st.integers(1, 3),
+        st.lists(
+            st.lists(st.integers(1, 5), min_size=5, max_size=5).map(
+                lambda v: LayerFunction(5, tuple(v))
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_chain_equals_the_full_count(self, d, middles):
+        levels = [frozenset(range(1, 6))]
+        for f in middles:
+            levels.append(frozenset(
+                s for s in range(1, 6)
+                if sum(1 for r in levels[-1] if f(r) == s) > d
+            ))
+        assert build_sj_chain(middles, d) == SjChain(5, d, tuple(levels))
 
     def test_errors(self):
         with pytest.raises(ValueError):
