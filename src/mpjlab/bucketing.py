@@ -193,7 +193,8 @@ def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int)
     return ((area >> shift) & ((1 << width) - 1)) + 1
 
 
-def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
+def protocol_for_plan(plan: BucketPlan, name: str) -> ProtocolHandle:
+    """The bucketing protocol that announces at the widths of `plan`."""
     n, k = plan.n, plan.k
 
     def index_area(values: Sequence[int], t: int) -> Message:
@@ -245,9 +246,9 @@ def _make_bucketing(plan: BucketPlan, name: str) -> ProtocolHandle:
 def bucketing_protocol(n: int, k: int) -> ProtocolHandle:
     """Iterated-log bucket announcements; first player sends exactly
     n * ceil(log2 applied k-1 times) bits."""
-    return _make_bucketing(bucket_width_plan(n, k), "bucketing")
+    return protocol_for_plan(bucket_width_plan(n, k), "bucketing")
 
 
 def bucketing_protocol_doubling(n: int, k: int) -> ProtocolHandle:
     """Doubling bucket widths with early termination once buckets are singletons."""
-    return _make_bucketing(doubling_plan(n, k), "bucketing-doubling")
+    return protocol_for_plan(doubling_plan(n, k), "bucketing-doubling")

@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when verification found failures (or an attack
 did not fool its target or found no crossed cell, or a player raised or broke
 the protocol contract), 2 on usage/configuration errors. Output is a pure
-function of the arguments plus the seed; the default seed comes from the
-MPJLAB_SEED environment variable (0 when unset). A seed is at least 0.
+function of the arguments plus the seed. A command that takes --seed and is
+given none reads it from the MPJLAB_SEED environment variable (0 when
+unset); no other call reads the variable. A seed is at least 0.
 """
 
 from __future__ import annotations
@@ -332,16 +333,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0 if report.fooled else 1
 
 
-def _add_protocol_args(p: argparse.ArgumentParser, *, seed: int) -> None:
+def _add_protocol_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--protocol", required=True, help="registry name, e.g. index, bucketing")
     p.add_argument("--k", type=int, default=None, help="player count (protocol default if omitted)")
     p.add_argument("--d", type=int, default=None, help="cover parameter for the sublinear protocols")
-    p.add_argument("--seed", type=_seed, default=seed,
+    p.add_argument("--seed", type=_seed, default=None,
                    help=f"RNG seed, at least 0 (default from ${SEED_ENV_VAR}, else 0)")
     p.add_argument("--output", default=None, help="write here instead of stdout")
 
 
-def build_parser(seed: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpjlab",
         description="Simulate and verify one-way pointer-jumping protocols.",
@@ -349,7 +350,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one protocol on one instance")
-    _add_protocol_args(p, seed=seed)
+    _add_protocol_args(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--instance", default=None, help="instance JSON file (sampled if omitted)")
     p.add_argument("--emit-buckets", action="store_true",
@@ -357,7 +358,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("verify", help="check a protocol against brute force")
-    _add_protocol_args(p, seed=seed)
+    _add_protocol_args(p)
     p.add_argument("--n", type=_positive_int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--exhaustive", action="store_true")
@@ -368,7 +369,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="measure worst-case costs across widths")
-    _add_protocol_args(p, seed=seed)
+    _add_protocol_args(p)
     p.add_argument("--n", type=_positive_int_list, required=True, help="comma-separated widths")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -382,12 +383,12 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("attack", help="build a fooling pair against a collapsing protocol")
-    _add_protocol_args(p, seed=seed)
+    _add_protocol_args(p)
     p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("emit-plot-data", help="fixed-schema cost CSV across widths")
-    _add_protocol_args(p, seed=seed)
+    _add_protocol_args(p)
     p.add_argument("--n", type=_positive_int_list, required=True, help="comma-separated widths")
     p.add_argument("--samples", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_emit_plot_data)
@@ -397,16 +398,12 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        seed = _default_seed()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser(seed)
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or help
         return exc.code
     try:
+        if getattr(args, "seed", 0) is None:  # cover takes no seed
+            args.seed = _default_seed()
         return args.fn(args)
     except (BudgetExceededError, BoundRefusedError) as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -1,10 +1,15 @@
 """Name-based construction of every shipped protocol.
 
-The registry maps CLI protocol names to one table entry each: the builder,
-the player count, the instance space each protocol is verified against
+The registry maps CLI protocol names to one table entry each: a build
+function, the default player count, and whether that count is fixed. A
+build function computes everything its name builds in one pass and returns
+a `BuiltProtocol`: the handle, the instance space it is verified against
 (permutation-layer mask), the matching cost bound and, for the bucketing
-protocols, the bucket plan. Parametrized attack targets are spelled with
-their width in the name: truncate4, parity3, hash2.
+protocols, the bucket plan that both the handle and the bound come from.
+`BuiltProtocol.variant` is the handle's. The cover protocols' bound
+2(k-2)dm + n/d^(k-2) reads m from the subprotocol they are built on.
+Parametrized attack targets are spelled with their width in the name:
+truncate4, parity3, hash2.
 """
 
 from __future__ import annotations
@@ -13,22 +18,10 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .bucketing import (
-    BucketPlan,
-    bucket_bound,
-    bucket_width_plan,
-    bucketing_protocol,
-    bucketing_protocol_doubling,
-    doubling_plan,
-)
+from .bucketing import BucketPlan, bucket_bound, bucket_width_plan, doubling_plan, protocol_for_plan
 from .core import Variant
-from .families import (
-    constant_protocol,
-    hashing_protocol,
-    parity_protocol,
-    truncating_protocol,
-)
-from .jump import index_protocol, mpj3_sublinear, mpjk_sublinear, naive_perm_protocol
+from .families import constant_protocol, hashing_protocol, parity_protocol, truncating_protocol
+from .jump import PermProtocol3, index_protocol, mpj3_sublinear, mpjk_sublinear, naive_perm_protocol
 from .sim import ProtocolHandle, ViewKind
 
 
@@ -47,26 +40,26 @@ class Params(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ProtocolSpec:
-    """Everything the registry knows about one protocol name."""
+class BuiltProtocol:
+    """A handle plus its instance space, cost bound and, for bucketing, plan."""
 
-    build: Callable[[Params], ProtocolHandle]
-    default_k: int
-    fixed_k: bool = False
-    permutation_layers: bool = False  # every layer but the last is a permutation
-    bound: Callable[[Params], float] | None = None  # cost before the output message
-    bucket_plan: Callable[[int, int], BucketPlan] | None = None
+    handle: ProtocolHandle
+    perm_mask: tuple[bool, ...] | None = None  # None: unrestricted layer space
+    bound: float | None = None  # cost before the output message; None: no formula
+    bucket_plan: BucketPlan | None = None
+
+    @property
+    def variant(self) -> Variant:
+        return self.handle.variant
 
 
 @dataclass(frozen=True)
-class BuiltProtocol:
-    """A handle plus the instance space it is meant to run on and its cost bound."""
+class ProtocolSpec:
+    """One protocol name: what it builds, and its player count."""
 
-    handle: ProtocolHandle
-    variant: Variant
-    perm_mask: tuple[bool, ...] | None  # None: unrestricted layer space
-    bucket_plan: BucketPlan | None = None
-    bound: float | None = None  # cost before the output message; None: no formula
+    build: Callable[[Params], BuiltProtocol]
+    default_k: int
+    fixed_k: bool = False
 
 
 def _cover_d(d: int, n: int) -> int:
@@ -112,63 +105,72 @@ def _at_most(what: str, symbol: str, value: int, cap: int) -> int:
     return value
 
 
-def _cover_bound(p: Params) -> float:
-    return 2 * (p.k - 2) * p.d * p.n + p.n / p.d ** (p.k - 2)
+def _cover(
+    make: Callable[[PermProtocol3, int, int], ProtocolHandle]
+) -> Callable[[Params], BuiltProtocol]:
+    """A cover protocol on the naive subprotocol P, with the bound
+    2(k-2)dm + n/d^(k-2) at P's message length m and the handle's k."""
+
+    def build(p: Params) -> BuiltProtocol:
+        P = naive_perm_protocol(p.n)
+        handle = make(P, _cover_d(p.d, p.n), p.k)
+        k, d = handle.k, p.d
+        return BuiltProtocol(handle, bound=2 * (k - 2) * d * P.m + p.n / d ** (k - 2))
+
+    return build
 
 
-def _bucketing(
-    build: Callable[[int, int], ProtocolHandle], plan: Callable[[int, int], BucketPlan]
-) -> ProtocolSpec:
-    return ProtocolSpec(
-        lambda p: build(p.n, p.k),
-        default_k=3,
-        permutation_layers=True,
-        bound=lambda p: bucket_bound(plan(p.n, p.k)),
-        bucket_plan=plan,
-    )
+def _bucketing(plan_of: Callable[[int, int], BucketPlan], name: str) -> ProtocolSpec:
+    """Bucketing on all-permutation layers; the handle and the bound read
+    one plan, computed once."""
+
+    def build(p: Params) -> BuiltProtocol:
+        plan = plan_of(p.n, p.k)
+        return BuiltProtocol(
+            protocol_for_plan(plan, name), (True,) * (plan.k - 1), bucket_bound(plan), plan
+        )
+
+    return ProtocolSpec(build, default_k=3)
 
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
     "index": ProtocolSpec(
-        lambda p: index_protocol(p.n), default_k=2, fixed_k=True, bound=lambda p: float(p.n)
+        lambda p: BuiltProtocol(index_protocol(p.n), bound=float(p.n)), default_k=2, fixed_k=True
     ),
     "mpj3-sublinear": ProtocolSpec(
-        lambda p: mpj3_sublinear(naive_perm_protocol(p.n), _cover_d(p.d, p.n)),
-        default_k=3,
-        fixed_k=True,
-        bound=_cover_bound,
+        _cover(lambda P, d, k: mpj3_sublinear(P, d)), default_k=3, fixed_k=True
     ),
-    "mpjk-sublinear": ProtocolSpec(
-        lambda p: mpjk_sublinear(naive_perm_protocol(p.n), _cover_d(p.d, p.n), p.k),
-        default_k=4,
-        bound=_cover_bound,
-    ),
-    "bucketing": _bucketing(bucketing_protocol, bucket_width_plan),
-    "bucketing-doubling": _bucketing(bucketing_protocol_doubling, doubling_plan),
+    "mpjk-sublinear": ProtocolSpec(_cover(mpjk_sublinear), default_k=4),
+    "bucketing": _bucketing(bucket_width_plan, "bucketing"),
+    "bucketing-doubling": _bucketing(doubling_plan, "bucketing-doubling"),
     # deliberately wrong: `constant` (silence, then 0) on a full one-way view
     "broken-const": ProtocolSpec(
-        lambda p: replace(
+        lambda p: BuiltProtocol(replace(
             constant_protocol(p.n, p.k), name="broken-const", view_kind=ViewKind.FULL_ONE_WAY
-        ),
+        )),
         default_k=3,
     ),
-    "constant": ProtocolSpec(lambda p: constant_protocol(p.n, p.k), default_k=3),
-    "truncate<t>": ProtocolSpec(lambda p: truncating_protocol(p.n, p.k, p.t), default_k=3),
+    "constant": ProtocolSpec(lambda p: BuiltProtocol(constant_protocol(p.n, p.k)), default_k=3),
+    "truncate<t>": ProtocolSpec(
+        lambda p: BuiltProtocol(truncating_protocol(p.n, p.k, p.t)), default_k=3
+    ),
     "parity<t>": ProtocolSpec(
-        lambda p: parity_protocol(p.n, p.k, p.t, seed=p.seed), default_k=3
+        lambda p: BuiltProtocol(parity_protocol(p.n, p.k, p.t, seed=p.seed)), default_k=3
     ),
     "hash<t>": ProtocolSpec(
-        lambda p: hashing_protocol(p.n, p.k, p.t, seed=p.seed), default_k=3
+        lambda p: BuiltProtocol(hashing_protocol(p.n, p.k, p.t, seed=p.seed)), default_k=3
     ),
 }
 
 BASE_NAMES = tuple(PROTOCOLS)
 
 
-def _lookup(
-    name: str, *, n: int, k: int | None, d: int | None, seed: int
-) -> tuple[ProtocolSpec, Params]:
-    """The table entry for a name plus its parameters, defaults filled in."""
+def build_protocol(
+    name: str, *, n: int, k: int | None = None, d: int | None = None, seed: int = 0
+) -> BuiltProtocol:
+    """Construct a protocol by registry name; raises UnknownProtocolError/ValueError.
+
+    The name, k and the size caps are checked before the entry builds."""
     m = re.fullmatch(r"([a-z]+)(0|[1-9][0-9]*)", name)  # canonical widths only
     key = f"{m[1]}<t>" if m else name
     if key not in PROTOCOLS or "<t>" in name:
@@ -179,26 +181,10 @@ def _lookup(
     if spec.fixed_k and k not in (None, spec.default_k):
         raise ValueError(f"{name} is a {spec.default_k}-player protocol")
     kk = spec.default_k if k is None or spec.fixed_k else k
-    params = Params(
+    return spec.build(Params(
         _at_most("width", "n", n, MAX_WIDTH), _at_most("player count", "k", kk, MAX_PLAYERS),
         1 if d is None else d, int(m[2]) if m else None, seed,
-    )
-    return spec, params
-
-
-def build_protocol(
-    name: str, *, n: int, k: int | None = None, d: int | None = None, seed: int = 0
-) -> BuiltProtocol:
-    """Construct a protocol by registry name; raises UnknownProtocolError/ValueError."""
-    spec, params = _lookup(name, n=n, k=k, d=d, seed=seed)
-    handle = spec.build(params)
-    return BuiltProtocol(
-        handle,
-        handle.variant,
-        (True,) * (handle.k - 1) if spec.permutation_layers else None,
-        spec.bucket_plan(n, handle.k) if spec.bucket_plan else None,
-        spec.bound(params) if spec.bound else None,
-    )
+    ))
 
 
 def cost_bound(name: str, *, n: int, k: int, d: int | None) -> float | None:

@@ -614,7 +614,7 @@ def nothing_built(monkeypatch):
     for name, spec in registry.PROTOCOLS.items():
         monkeypatch.setitem(
             registry.PROTOCOLS, name,
-            dataclasses.replace(spec, build=built, bound=built, bucket_plan=built),
+            dataclasses.replace(spec, build=built),
         )
     for name in ("sample_instance", "sample_instances", "enumerate_instances",
                  "build_fooling_inputs"):
@@ -840,6 +840,27 @@ class TestSeedEnvironment:
         code, _, err = run_cli(capsys, "run", "--protocol", "index", "--n", "4")
         assert code == 2 and SEED_ENV_VAR in err
 
+    # the variable is read only when a command takes --seed and is given none
+    def test_explicit_seed_skips_a_garbage_env_seed(self, capsys, monkeypatch):
+        argv = ("verify", "--protocol", "bucketing", "--n", "8", "--samples", "5", "--seed", "4")
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        base = run_cli(capsys, *argv)
+        monkeypatch.setenv(SEED_ENV_VAR, "ten")
+        assert run_cli(capsys, *argv) == base and base[0] == 0
+
+    def test_cover_ignores_a_garbage_env_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        base = run_cli(capsys, "cover", "--f", "2,2,4,4", "--d", "2")
+        monkeypatch.setenv(SEED_ENV_VAR, "ten")
+        assert run_cli(capsys, "cover", "--f", "2,2,4,4", "--d", "2") == base
+        assert base[0] == 0
+
+    @pytest.mark.parametrize("argv", [("--help",), ("run", "--help")], ids=" ".join)
+    def test_help_ignores_a_garbage_env_seed(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv(SEED_ENV_VAR, "ten")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: mpjlab")
+
     # random.Random seeds with |seed|, so a negative seed would repeat the
     # instance of its absolute value; both sources refuse it up front
     def test_negative_seed_is_refused(self, capsys, monkeypatch):
@@ -927,7 +948,7 @@ def crashing_index(n: int) -> BuiltProtocol:
         "crashing", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
         (lambda view: Message(view.final_bits.bits), answer), n=n,
     )
-    return BuiltProtocol(handle, Variant.MPJ, None)
+    return BuiltProtocol(handle)
 
 
 class TestCrashingPlayers:
@@ -975,9 +996,7 @@ def raising(handle: ProtocolHandle, j: int) -> BuiltProtocol:
     """`handle`, except that player j looks up a key that is not there."""
     players = list(handle.players)
     players[j - 1] = lambda view: {}["missing"]
-    return BuiltProtocol(
-        dataclasses.replace(handle, players=tuple(players)), handle.variant, None
-    )
+    return BuiltProtocol(dataclasses.replace(handle, players=tuple(players)))
 
 
 class TestRaisingPlayers:

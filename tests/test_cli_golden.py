@@ -91,6 +91,15 @@ def test_cli_bytes_match_the_recording(command, monkeypatch):
     assert replay(command) == recorded()[command]
 
 
+@pytest.mark.parametrize(
+    "command", [c for c in COMMANDS if "--seed" in c or c.startswith("cover ")]
+)
+def test_a_garbage_env_seed_is_not_read(command, monkeypatch):
+    """A command given --seed, and cover, which takes none, never read MPJLAB_SEED."""
+    monkeypatch.setenv(SEED_ENV_VAR, "ten")
+    assert replay(command) == recorded()[command]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(replay(c) for c in COMMANDS), encoding="utf-8")
