@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 
 class Variant(Enum):
@@ -34,10 +34,10 @@ class Variant(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Variant":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown variant {text!r}; expected 'mpj' or 'mpjhat'")
+        try:
+            return cls(text)
+        except ValueError:
+            raise ValueError(f"unknown variant {text!r}; expected 'mpj' or 'mpjhat'") from None
 
 
 class BudgetExceededError(ValueError):
@@ -254,10 +254,24 @@ def bit_suffixes(x: BitVector, layers: Sequence[LayerFunction]) -> tuple[BitVect
     return tuple(out)
 
 
+def _check_chain(inst, layers: Sequence[LayerFunction], count: int, what: str) -> None:
+    """The checks both instance kinds share: k, the start pointer, then
+    `count` function layers (each a `what` in error text) of width n."""
+    if inst.k < 2:
+        raise ValueError(f"k must be at least 2, got {inst.k}")
+    _check_point(inst.n, inst.i, "start pointer")
+    if len(layers) != count:
+        raise ValueError(f"expected {count} {what}s for k={inst.k}, got {len(layers)}")
+    for f in layers:
+        if f.n != inst.n:
+            raise ValueError(f"{what} width differs from n")
+
+
 @dataclass(frozen=True)
 class MpjInstance:
     """Boolean chain instance: start pointer, k-2 middle layers, final bit layer."""
 
+    variant: ClassVar[Variant] = Variant.MPJ
     n: int
     k: int
     i: int
@@ -265,22 +279,9 @@ class MpjInstance:
     x: BitVector
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        _check_point(self.n, self.i, "start pointer")
-        if len(self.middles) != self.k - 2:
-            raise ValueError(
-                f"expected {self.k - 2} middle layers for k={self.k}, got {len(self.middles)}"
-            )
-        for f in self.middles:
-            if f.n != self.n:
-                raise ValueError("middle layer width differs from n")
+        _check_chain(self, self.middles, self.k - 2, "middle layer")
         if self.x.n != self.n:
             raise ValueError("bit layer width differs from n")
-
-    @property
-    def variant(self) -> Variant:
-        return Variant.MPJ
 
 
 @dataclass(frozen=True)
@@ -291,6 +292,7 @@ class MpjHatInstance:
     flagged layers are validated at construction time.
     """
 
+    variant: ClassVar[Variant] = Variant.MPJ_HAT
     n: int
     k: int
     i: int
@@ -298,16 +300,7 @@ class MpjHatInstance:
     perm_mask: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        _check_point(self.n, self.i, "start pointer")
-        if len(self.layers) != self.k - 1:
-            raise ValueError(
-                f"expected {self.k - 1} layers for k={self.k}, got {len(self.layers)}"
-            )
-        for f in self.layers:
-            if f.n != self.n:
-                raise ValueError("layer width differs from n")
+        _check_chain(self, self.layers, self.k - 1, "layer")
         if not self.perm_mask:
             object.__setattr__(self, "perm_mask", (False,) * (self.k - 1))
         if len(self.perm_mask) != self.k - 1:
@@ -315,10 +308,6 @@ class MpjHatInstance:
         for f, need_perm in zip(self.layers, self.perm_mask):
             if need_perm and not f.is_permutation:
                 raise ValueError("layer flagged as permutation is not one")
-
-    @property
-    def variant(self) -> Variant:
-        return Variant.MPJ_HAT
 
 
 Instance = MpjInstance | MpjHatInstance
@@ -385,13 +374,10 @@ def instance_count(
     return count
 
 
-def _layer_space(n: int, need_perm: bool) -> Iterator[LayerFunction]:
-    if need_perm:
-        for vals in itertools.permutations(range(1, n + 1)):
-            yield LayerFunction(n, vals)
-    else:
-        for vals in itertools.product(range(1, n + 1), repeat=n):
-            yield LayerFunction(n, vals)
+def _layer_space(n: int, need_perm: bool) -> list[LayerFunction]:
+    points = range(1, n + 1)
+    values = itertools.permutations(points) if need_perm else itertools.product(points, repeat=n)
+    return [LayerFunction(n, vals) for vals in values]
 
 
 def enumerate_instances(
@@ -412,19 +398,13 @@ def enumerate_instances(
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    layer_spaces = [_layer_space(n, need_perm) for need_perm in mask]
+    spaces = [range(1, n + 1), *[_layer_space(n, need_perm) for need_perm in mask]]
     if variant is Variant.MPJ:
-        bit_layers = [BitVector(n, bits) for bits in itertools.product((0, 1), repeat=n)]
-        for combo in itertools.product(
-            range(1, n + 1), *[list(space) for space in layer_spaces], bit_layers
-        ):
-            i, *layers, x = combo
+        spaces.append([BitVector(n, bits) for bits in itertools.product((0, 1), repeat=n)])
+        for i, *layers, x in itertools.product(*spaces):
             yield MpjInstance(n, k, i, tuple(layers), x)
     else:
-        for combo in itertools.product(
-            range(1, n + 1), *[list(space) for space in layer_spaces]
-        ):
-            i, *layers = combo
+        for i, *layers in itertools.product(*spaces):
             yield MpjHatInstance(n, k, i, tuple(layers), mask)
 
 
@@ -519,23 +499,17 @@ def _sampled(
 
 def instance_to_dict(inst: Instance) -> dict:
     """Serialize to the shared JSON form (1-based layers, f_2 first)."""
-    if isinstance(inst, MpjInstance):
-        return {
-            "n": inst.n,
-            "k": inst.k,
-            "variant": Variant.MPJ.value,
-            "i": inst.i,
-            "layers": [list(f.values) for f in inst.middles],
-            "x": inst.x.to01(),
-        }
+    boolean = isinstance(inst, MpjInstance)
     d = {
         "n": inst.n,
         "k": inst.k,
-        "variant": Variant.MPJ_HAT.value,
+        "variant": inst.variant.value,
         "i": inst.i,
-        "layers": [list(f.values) for f in inst.layers],
+        "layers": [list(f.values) for f in (inst.middles if boolean else inst.layers)],
     }
-    if any(inst.perm_mask):
+    if boolean:
+        d["x"] = inst.x.to01()
+    elif any(inst.perm_mask):
         d["perm_mask"] = list(inst.perm_mask)
     return d
 

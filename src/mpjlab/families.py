@@ -9,7 +9,6 @@ attack never needs to know which.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Callable
@@ -92,6 +91,8 @@ def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
 
 def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
     """Every non-final player sends t hash bits of their entire visible view."""
+    import hashlib  # here, not at module level: it loads OpenSSL, and only this target hashes
+
     limit = min(n, 256)  # a SHA-256 digest holds 256 bits
     if not 0 <= t <= limit:
         raise ValueError(f"hash width {t} outside [0, {limit}]")

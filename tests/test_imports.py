@@ -36,3 +36,18 @@ def test_package_holds_only_its_version():
     public = fresh("import mpjlab; print(sorted(n for n in vars(mpjlab) if n[0] != '_'))")
     assert public == "[]\n"
     assert fresh("import mpjlab; print(mpjlab.__version__)") == "0.1.0\n"
+
+
+def test_only_the_hash_target_loads_hashlib():
+    code = """
+import sys
+import mpjlab.cli
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+from mpjlab.core import Variant, sample_instance
+from mpjlab.registry import build_protocol
+from mpjlab.sim import run
+built = build_protocol("hash4", n=8, k=3)
+inst = sample_instance(8, 3, Variant.MPJ, seed=1)
+print(run(built.handle, inst).per_player_bits)
+"""
+    assert fresh(code) == "[]\n(4, 4, 1)\n"

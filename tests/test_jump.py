@@ -20,6 +20,7 @@ from mpjlab.core import (
     MpjInstance,
     Variant,
     enumerate_instances,
+    eval_instance,
     sample_instances,
 )
 from mpjlab.jump import (
@@ -326,6 +327,37 @@ class TestKPlayerSublinear:
         [inst] = sample_instances(4, 4, Variant.MPJ, count=1, seed=1)
         with pytest.raises(ProtocolContractError, match=f"{part} produced 3 bits, expected 4"):
             run(proto, inst)
+
+
+class TestResolutionPathWitnesses:
+    """Every middle layer is r -> ceil(r/(d+1)) on n = 1 + (d+1) + ... +
+    (d+1)^(k-2) points, so S_(t+1) = {1, ..., 1 + (d+1) + ... +
+    (d+1)^(k-2-t)}: (d+1)^(l-1) starts resolve at level l and (d+1)^(k-2)
+    read a raw bit. No smaller width of this family reaches every path of
+    the last player."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_path_is_reached_and_answers_right(self, d, k):
+        n = sum((d + 1) ** t for t in range(k - 1))
+        f = LayerFunction(n, tuple(-(-r // (d + 1)) for r in range(1, n + 1)))
+        middles = (f,) * (k - 2)
+        rng = random.Random(100 * k + d)
+        x = BitVector(n, tuple(rng.randint(0, 1) for _ in range(n)))
+        levels = build_sj_chain(middles, d).levels
+        proto = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        paths = {}
+        for i in range(1, n + 1):
+            walk = [i]
+            for g in middles:
+                walk.append(g(walk[-1]))
+            # the first level whose next walk point is light, else the raw bit
+            path = next((lvl for lvl in range(1, k - 1) if walk[lvl] not in levels[lvl]), "raw")
+            paths[path] = paths.get(path, 0) + 1
+            inst = MpjInstance(n, k, i, middles, x)
+            assert run(proto, inst).output == eval_instance(inst)
+        expected = {lvl: (d + 1) ** (lvl - 1) for lvl in range(1, k - 1)}
+        assert paths == {**expected, "raw": (d + 1) ** (k - 2)}
 
 
 class TestOrderSensitiveSubprotocol:
