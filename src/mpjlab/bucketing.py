@@ -14,7 +14,12 @@ shrink hyper-exponentially and the last player reads a singleton bucket.
 
 Players read ints they already hold: each width has one checked table of
 bucket indices by point, and the walk point's index in an announcement
-sits at its rank, the popcount of the indicator bits above it.
+sits at its rank, the popcount of the indicator bits above it. A handle
+reads its plan once, when it is built: each player's widths and tables
+are fixed per player then, and players past the terminal announcer are
+silent from the start. Each announcement is one packed int, indicator
+above index area, framed by one `Message.from_uint` that checks the whole
+message fits.
 
 A doubling variant grows widths 1, 2, 4, ... instead; once a width
 reaches ceil(log2 n), buckets are singletons, the remaining middle
@@ -176,12 +181,13 @@ def bucket_report(plan: BucketPlan, messages: Sequence[Message]) -> dict:
     }
 
 
-def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int) -> int:
-    """The answer's bucket as message j-1 announces it to player j: the index
-    at the walk point's rank among survivors (all points, in message 1)."""
-    prev, width, n = view.messages[j - 2], plan.width(j - 1), view.n
+def _bucket_of_walk(view: PlayerView, j: int, width: int, walk_point: int) -> int:
+    """The answer's bucket as message j-1, framed at `width`, announces it to
+    player j: the index at the walk point's rank among survivors (all points,
+    in message 1)."""
+    prev, n = view.messages[j - 2], view.n
     if j == 2:
-        if len(prev) != n * width:
+        if prev.length != n * width:
             raise ProtocolInvariantError("first announcement has the wrong size")
         indicator, area = (1 << n) - 1, prev.value
     else:
@@ -194,33 +200,48 @@ def _bucket_of_walk(view: PlayerView, plan: BucketPlan, j: int, walk_point: int)
 
 
 def protocol_for_plan(plan: BucketPlan, name: str) -> ProtocolHandle:
-    """The bucketing protocol that announces at the widths of `plan`."""
-    n, k = plan.n, plan.k
+    """The bucketing protocol that announces at the widths of `plan`.
 
-    def index_area(values: Sequence[int], t: int) -> Message:
-        """The t-bit bucket indices of `values`, packed in order, first highest."""
-        table = _bucket_table(t, n)
-        area = 0
-        for v in values:
-            area = (area << t) | table[v]
-        return Message.from_uint(area, len(values) * t)
+    The plan is read once, here: each player's closure holds the widths it
+    frames and reads at, and the checked `_bucket_table` of each, fetched
+    once per handle. Announcers past the terminal player are silent. An
+    announcement is one int, indicator above index area, framed by one
+    `Message.from_uint`, which checks that the whole message fits.
+    """
+    n, k, terminal = plan.n, plan.k, plan.terminal
+    frames = plan.widths[:terminal]  # frames[j-1] is the width player j announces at
+    tables = {t: _bucket_table(t, n) for t in set(frames)}
+
+    first_width = frames[0]
+    first_table = tables[first_width]
 
     def speak_first(view: PlayerView) -> Message:
         # view.suffix is the collapsed suffix of layer 1
-        return index_area(view.suffix.values, plan.width(1))
+        area = 0
+        for v in view.suffix.values:
+            area = (area << first_width) | first_table[v]
+        return Message.from_uint(area, n * first_width)
+
+    def speak_silently(view: PlayerView) -> Message:
+        return Message()
 
     def announcer_for(j: int) -> Callable[[PlayerView], Message]:
+        if j > terminal:
+            return speak_silently
+        prev_width, width = frames[j - 2], frames[j - 1]
+        prev_table, table = tables[prev_width], tables[width]
+
         def speak_buckets(view: PlayerView) -> Message:
-            if j > plan.terminal:
-                return Message()
-            target = _bucket_of_walk(view, plan, j, view.walked) - 1
-            prev_table, indicator, kept = _bucket_table(plan.width(j - 1), n), 0, []
+            target = _bucket_of_walk(view, j, prev_width, view.walked) - 1
+            indicator = area = 0
             for v in view.suffix.values:  # g(s) for s = 1 .. n
-                survives = prev_table[v] == target
-                indicator = (indicator << 1) | survives
-                if survives:
-                    kept.append(v)
-            return Message.from_uint(indicator, n) + index_area(kept, plan.width(j))
+                if prev_table[v] == target:
+                    indicator = (indicator << 1) | 1
+                    area = (area << width) | table[v]
+                else:
+                    indicator <<= 1
+            area_bits = indicator.bit_count() * width
+            return Message.from_uint((indicator << area_bits) | area, n + area_bits)
 
         return speak_buckets
 
@@ -228,11 +249,12 @@ def protocol_for_plan(plan: BucketPlan, name: str) -> ProtocolHandle:
         # every announcement is read as its successor reads it, so each walk
         # point must survive into the set that framed it
         walk_point = view.start  # enters layer 2
-        for j in range(2, plan.terminal + 2):
+        for j, width in enumerate(frames, start=2):  # message j-1 was framed at width
             if j > 2:
-                walk_point = view.prefix_layers[j - 3](walk_point)  # enters layer j
-            value = _bucket_of_walk(view, plan, j, walk_point)
-        members = bucket_members(plan.width(plan.terminal), n, value)
+                # enters layer j; the instance's points were checked when it was built
+                walk_point = view.prefix_layers[j - 3].values[walk_point - 1]
+            value = _bucket_of_walk(view, j, width, walk_point)
+        members = bucket_members(frames[-1], n, value)
         if len(members) != 1:
             raise ProtocolInvariantError("terminal bucket is not a singleton")
         return encode_pointer(members[0], n)

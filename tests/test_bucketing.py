@@ -6,8 +6,11 @@ player keeps survivors {1,3} of bucket {3,4} and announces two-bit
 indices '10' and '11'.
 """
 
+import hashlib
+
 import pytest
 
+from mpjlab import bucketing
 from mpjlab.bucketing import (
     BucketPlan,
     _bucket_table,
@@ -25,6 +28,7 @@ from mpjlab.core import (
     Variant,
     chain_layers,
     enumerate_instances,
+    eval_instance,
     eval_mpj_hat,
     follow_pointers,
     sample_instances,
@@ -365,3 +369,85 @@ class TestTamperedBlackboards:
         view = make_view(inst, 3, ViewKind.COLLAPSING, (Message.from01("1"), Message()))
         with pytest.raises(ProtocolInvariantError, match="wrong size"):
             proto.players[2](view)
+
+
+BUILDERS = {"bucketing": bucketing_protocol, "bucketing-doubling": bucketing_protocol_doubling}
+
+
+def admitted_handles():
+    """(handle, n, k) for both plans at n in {4, 16, 100} and each k in
+    3..9 the plan admits, plus (4, 40)."""
+    for build in BUILDERS.values():
+        for n, k in [*((n, k) for n in (4, 16, 100) for k in range(3, 10)), (4, 40)]:
+            try:
+                handle = build(n, k)
+            except ValueError:  # doubling needs enough players
+                continue
+            yield handle, n, k
+
+
+class TestPlanReadAtBuild:
+    def test_runs_read_no_plan_and_fetch_no_table(self, monkeypatch):
+        handles = list(admitted_handles())
+        assert len(handles) > 20
+        calls = {"width": 0, "table": 0}
+        width, table = BucketPlan.width, bucketing._bucket_table
+
+        def counted_width(plan, j):
+            calls["width"] += 1
+            return width(plan, j)
+
+        def counted_table(t, n):
+            calls["table"] += 1
+            return table(t, n)
+
+        monkeypatch.setattr(BucketPlan, "width", counted_width)
+        monkeypatch.setattr(bucketing, "_bucket_table", counted_table)
+        for proto, n, k in handles:
+            insts = sample_instances(n, k, Variant.MPJ_HAT, all_perm_mask(k), count=20, seed=n * k)
+            for inst in insts:
+                assert run(proto, inst).output == eval_instance(inst)
+        assert calls == {"width": 0, "table": 0}
+
+
+# sha256 over seeded runs (seed n + k) of every message's bits and the
+# output, one line per run; recorded before the players read their plan at
+# build, and the refusal text where the plan admits no protocol
+WIRE_DIGESTS = {
+    ("bucketing", 16, 5, 200):
+        "f9c5e1a4eb5b780f5a4fc43f79e0ee97e9427805aca31068bf2629c2a9079828",
+    ("bucketing", 100, 6, 50):
+        "3c766e0a390df5a213f3c7730142dcd87772dc063b1f3f8797ccafeb2359183a",
+    ("bucketing", 1000, 4, 20):
+        "cbced38b8b797a4613f60d3872e57bff96a86d370f500f4ab4e7bd322a63a5cf",
+    ("bucketing", 4096, 3, 8):
+        "cf512142a78cf040bc61ecdd93cb3548fbb13b41d907ccde8e9082678eaf6467",
+    ("bucketing", 4, 40, 50):
+        "e37851b56415ddb00abd60803e49de9fe2a6d3f3f14aa40c9c83ecdfb29870e4",
+    ("bucketing-doubling", 16, 5, 200):
+        "f47ad448acd40e681f7827f902a63e0804b000d520d45d421f748869bb79c381",
+    ("bucketing-doubling", 100, 6, 50):
+        "6a8e1d3946c3bc9c88ead83a770196cc7b7e3230e70d8cb1b7866adce40a97f4",
+    ("bucketing-doubling", 1000, 4, 20):
+        "252a55c957ac557c7e41ceefe28cdde2e97ceeb9eea0d89f6a69c4c30769b182",
+    ("bucketing-doubling", 4096, 3, 8):
+        "26ac3ec19d6562027ebd428f9ec2133252b3b775cf42e7b16f28a8fea97c48bf",
+    ("bucketing-doubling", 4, 40, 50):
+        "d06baadcf27b6ad3261bb99f57a39b84fc713fcea9eb3e4d29ede38f4744d137",
+}
+
+
+class TestPinnedWireFormat:
+    @pytest.mark.parametrize("name, n, k, count", WIRE_DIGESTS)
+    def test_seeded_transcripts(self, name, n, k, count):
+        digest = hashlib.sha256()
+        try:
+            proto = BUILDERS[name](n, k)
+        except ValueError as exc:
+            digest.update(f"refused: {exc}\n".encode())
+        else:
+            mask = all_perm_mask(k)
+            for inst in sample_instances(n, k, Variant.MPJ_HAT, mask, count=count, seed=n + k):
+                t = run(proto, inst)
+                digest.update(("|".join(m.to01() for m in t.messages) + f"|{t.output}\n").encode())
+        assert digest.hexdigest() == WIRE_DIGESTS[name, n, k, count]
