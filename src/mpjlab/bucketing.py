@@ -19,7 +19,7 @@ reads its plan once, when it is built: each player's widths and tables
 are fixed per player then, and players past the terminal announcer are
 silent from the start. Each announcement is one packed int, indicator
 above index area, framed by one `Message.from_uint` that checks the whole
-message fits.
+message fits. The module keeps no state between builds.
 
 A doubling variant grows widths 1, 2, 4, ... instead; once a width
 reaches ceil(log2 n), buckets are singletons, the remaining middle
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import Variant
@@ -133,7 +132,6 @@ def doubling_plan(n: int, k: int) -> BucketPlan:
     return BucketPlan(n, k, tuple(widths) + (n,), terminal=terminal)
 
 
-@lru_cache(maxsize=256)
 def _bucket_table(t: int, n: int) -> tuple[int | None, ...]:
     """Position v holds bucket_index(t, n, v) - 1 for each point v of [n],
     checked once to fit in t bits; position 0 is no point."""
@@ -147,7 +145,7 @@ def _bucket_table(t: int, n: int) -> tuple[int | None, ...]:
 def _announcement(msg: Message, n: int, width: int) -> tuple[int, int]:
     """(indicator, index area) of a later announcement, as ints: bit n - r of
     the indicator flags survivor r, whose width-bit indices follow in order."""
-    area_bits = len(msg) - n
+    area_bits = msg.length - n
     if area_bits < 0:
         raise ProtocolInvariantError("announcement shorter than its membership indicator")
     indicator = msg.value >> area_bits
@@ -203,7 +201,7 @@ def protocol_for_plan(plan: BucketPlan, name: str) -> ProtocolHandle:
     """The bucketing protocol that announces at the widths of `plan`.
 
     The plan is read once, here: each player's closure holds the widths it
-    frames and reads at, and the checked `_bucket_table` of each, fetched
+    frames and reads at, and the checked `_bucket_table` of each, built
     once per handle. Announcers past the terminal player are silent. An
     announcement is one int, indicator above index area, framed by one
     `Message.from_uint`, which checks that the whole message fits.

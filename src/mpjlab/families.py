@@ -4,17 +4,20 @@ These protocols are deliberately weak: every non-final player compresses
 their collapsed suffix into at most t bits (truncation, seeded parities, or
 a seeded hash), which is exactly the regime the fooling-pair construction
 defeats. The final player answers with some fixed deterministic rule; the
-attack never needs to know which.
+attack never needs to know which. Each family is one `message(j, view)`;
+`_handle` binds j into players 1..k-1 with `functools.partial`, so each
+keeps their own j whatever view they are shown.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Callable
 
 from .adversary import max_message_bits
-from .core import BitVector, Variant
+from .core import Variant
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind
 
 
@@ -25,9 +28,9 @@ def _final_bit(view: PlayerView) -> Message:
 
 
 def _handle(
-    name: str, n: int, k: int, t: int, speak: Callable[[int], Callable[[PlayerView], Message]]
+    name: str, n: int, k: int, t: int, message: Callable[[int, PlayerView], Message]
 ) -> ProtocolHandle:
-    players = tuple(speak(j) for j in range(1, k)) + (_final_bit,)
+    players = tuple(functools.partial(message, j) for j in range(1, k)) + (_final_bit,)
     return ProtocolHandle(
         name=name,
         k=k,
@@ -41,26 +44,14 @@ def _handle(
 
 def constant_protocol(n: int, k: int) -> ProtocolHandle:
     """Every non-final player sends nothing at all."""
-
-    def speak(j: int) -> Callable[[PlayerView], Message]:
-        return lambda view: Message()
-
-    return _handle("constant", n, k, 0, speak)
+    return _handle("constant", n, k, 0, lambda j, view: Message())
 
 
 def truncating_protocol(n: int, k: int, t: int) -> ProtocolHandle:
     """Every non-final player sends the first t bits of their collapsed suffix."""
     if not 0 <= t <= n:
         raise ValueError(f"truncation width {t} outside [0, {n}]")
-
-    def speak(j: int) -> Callable[[PlayerView], Message]:
-        def fn(view: PlayerView) -> Message:
-            suffix: BitVector = view.suffix
-            return Message(suffix.bits[:t])
-
-        return fn
-
-    return _handle(f"truncate{t}", n, k, t, speak)
+    return _handle(f"truncate{t}", n, k, t, lambda j, view: Message(view.suffix.bits[:t]))
 
 
 def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
@@ -76,17 +67,11 @@ def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
             Message(tuple(rng.randint(0, 1) for _ in range(n))).value for _ in range(t)
         )
 
-    def speak(j: int) -> Callable[[PlayerView], Message]:
-        own = masks[j]
+    def message(j: int, view: PlayerView) -> Message:
+        x = Message(view.suffix.bits).value
+        return Message(tuple((mask & x).bit_count() & 1 for mask in masks[j]))
 
-        def fn(view: PlayerView) -> Message:
-            suffix: BitVector = view.suffix
-            x = Message(suffix.bits).value
-            return Message(tuple((mask & x).bit_count() & 1 for mask in own))
-
-        return fn
-
-    return _handle(f"parity{t}", n, k, t, speak)
+    return _handle(f"parity{t}", n, k, t, message)
 
 
 def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
@@ -97,25 +82,21 @@ def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
     if not 0 <= t <= limit:
         raise ValueError(f"hash width {t} outside [0, {limit}]")
 
-    def speak(j: int) -> Callable[[PlayerView], Message]:
-        def fn(view: PlayerView) -> Message:
-            suffix: BitVector = view.suffix
-            material = "|".join(
-                [
-                    str(seed),
-                    str(j),
-                    str(view.start),
-                    ";".join(",".join(map(str, f.values)) for f in view.prefix_layers),
-                    suffix.to01(),
-                    ";".join(m.to01() for m in view.messages),
-                ]
-            )
-            digest = hashlib.sha256(material.encode()).digest()
-            return Message(tuple((digest[i // 8] >> (i % 8)) & 1 for i in range(t)))
+    def message(j: int, view: PlayerView) -> Message:
+        material = "|".join(
+            [
+                str(seed),
+                str(j),
+                str(view.start),
+                ";".join(",".join(map(str, f.values)) for f in view.prefix_layers),
+                view.suffix.to01(),
+                ";".join(m.to01() for m in view.messages),
+            ]
+        )
+        digest = hashlib.sha256(material.encode()).digest()
+        return Message(tuple((digest[i // 8] >> (i % 8)) & 1 for i in range(t)))
 
-        return fn
-
-    return _handle(f"hash{t}", n, k, t, speak)
+    return _handle(f"hash{t}", n, k, t, message)
 
 
 def collapsing_family(n: int, k: int, count: int, seed: int = 0) -> list[ProtocolHandle]:
@@ -130,11 +111,8 @@ def collapsing_family(n: int, k: int, count: int, seed: int = 0) -> list[Protoco
         lambda t, s: parity_protocol(n, k, t, seed=s),
         lambda t, s: hashing_protocol(n, k, t, seed=s),
     )
-    out: list[ProtocolHandle] = [constant_protocol(n, k)]
-    idx = 0
-    while len(out) < count:
-        build = builders[idx % len(builders)]
+    out = [constant_protocol(n, k)]
+    for idx in range(count - 1):
         t = 1 + (idx // len(builders)) % limit
-        out.append(build(t, seed + idx))
-        idx += 1
-    return out[:count]
+        out.append(builders[idx % len(builders)](t, seed + idx))
+    return out

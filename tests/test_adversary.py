@@ -27,7 +27,14 @@ from mpjlab.adversary import (
     verify_fooling,
     worst_case_evaluations,
 )
-from mpjlab.core import BitVector, LayerFunction, MpjInstance, Variant
+from mpjlab.core import (
+    BitVector,
+    LayerFunction,
+    MpjInstance,
+    Variant,
+    instance_to_dict,
+    sample_instances,
+)
 from mpjlab.families import (
     collapsing_family,
     constant_protocol,
@@ -399,7 +406,57 @@ class TestVerifyFooling:
         assert report.errors == 0
 
 
+# each family's targets at one (n, k, seed): every width t the builder admits
+PINNED_TARGETS = {
+    "constant": lambda n, k, seed: [constant_protocol(n, k)],
+    "truncate": lambda n, k, seed: [truncating_protocol(n, k, t) for t in range(n + 1)],
+    "parity": lambda n, k, seed: [parity_protocol(n, k, t, seed=seed) for t in range(n + 1)],
+    "hash": lambda n, k, seed: [hashing_protocol(n, k, t, seed=seed) for t in range(n + 1)],
+    "collapsing_family": lambda n, k, seed: collapsing_family(8, k, 20, seed=3) if n == 8 else [],
+}
+
+# sha256 per family over n in {2, 4, 8}, k in {2, 3, 4} and seeds {0, 1, 37}:
+# each target's name, every message and the output of 10 runs on instances
+# sampled with the seed, then its fooling pair, prefix messages and report,
+# or the refusal text; recorded before each family became one
+# message(j, view) function
+PINNED_MESSAGES = {
+    "constant": "450ea65a7fbc0271adced65dc16301ee8ca43684f300a32c4636da7372ee9817",
+    "truncate": "944d37412577317298bf0cbd108fcdc516962aed7bb4ae210803c7b600e656f7",
+    "parity": "606aea0986c2bf5620a46990a81d6ef64cea963a97c129d34fce4908e12883da",
+    "hash": "1c8eb904747a13f7147735ecf8b167b95fba157f1316ca28433ba93ce89bb136",
+    "collapsing_family": "df3fb0611b8d9a0fd92c40cda7dadfbfc86c42190ea0ae76d3d369658bba9f1a",
+}
+
+
+def pinned_digest(family):
+    digest = hashlib.sha256()
+    for n, k, seed in itertools.product((2, 4, 8), (2, 3, 4), (0, 1, 37)):
+        for proto in PINNED_TARGETS[family](n, k, seed):
+            digest.update(f"{proto.name} n={n} k={k} seed={seed}\n".encode())
+            for inst in sample_instances(n, k, Variant.MPJ, count=10, seed=seed):
+                t = run(proto, inst)
+                digest.update(("|".join(m.to01() for m in t.messages) + f"|{t.output}\n").encode())
+            try:
+                pair = build_fooling_inputs(proto)
+            except BoundRefusedError as exc:
+                digest.update(f"refused: {exc}\n".encode())
+                continue
+            report = verify_fooling(proto, pair.inst0, pair.inst1)
+            digest.update(repr((
+                instance_to_dict(pair.inst0),
+                instance_to_dict(pair.inst1),
+                [m.to01() for m in pair.prefix_messages],
+                dataclasses.astuple(report),
+                report.fooled,
+            )).encode() + b"\n")
+    return digest.hexdigest()
+
+
 class TestFamilies:
+    def test_pinned_messages(self):
+        assert {family: pinned_digest(family) for family in PINNED_MESSAGES} == PINNED_MESSAGES
+
     def test_names_and_declared_bounds(self):
         assert truncating_protocol(8, 3, 4).name == "truncate4"
         assert parity_protocol(8, 3, 2).name == "parity2"
