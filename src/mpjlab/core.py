@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 
 class Variant(Enum):
@@ -87,6 +87,15 @@ def _trusted(cls, n, data):
     obj = _new(cls)
     _setattr(obj, "n", n)
     _setattr(obj, cls.__match_args__[1], data)
+    return obj
+
+
+def _built(cls, *fields):
+    """An instance built unchecked from parts in range by construction. Its
+    fields are set in `__init__`'s order, which keeps the shared-key layout."""
+    obj = _new(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        _setattr(obj, name, value)
     return obj
 
 
@@ -341,7 +350,7 @@ def collapsed_suffixes(inst: Instance) -> tuple[BitVector, ...] | tuple[LayerFun
     """
     if isinstance(inst, MpjInstance):
         return bit_suffixes(inst.x, inst.middles)
-    maps = [LayerFunction.identity(inst.n)]
+    maps = [_trusted(LayerFunction, inst.n, tuple(range(1, inst.n + 1)))]
     for f in reversed(inst.layers):
         maps.append(maps[-1].after(f))
     maps.reverse()
@@ -349,9 +358,13 @@ def collapsed_suffixes(inst: Instance) -> tuple[BitVector, ...] | tuple[LayerFun
 
 
 def _normalized_mask(
-    k: int, variant: Variant, perm_mask: Sequence[bool] | None
+    n: int, k: int, variant: Variant, perm_mask: Sequence[bool] | None
 ) -> tuple[bool, ...]:
-    """One flag per function layer: k-2 middles for mpj, k-1 layers for mpjhat."""
+    """Check k and n, then one flag per function layer (k-2 for mpj, k-1 for mpjhat)."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     n_layers = k - 2 if variant is Variant.MPJ else k - 1
     if perm_mask is None:
         return (False,) * n_layers
@@ -365,7 +378,7 @@ def instance_count(
     n: int, k: int, variant: Variant, perm_mask: Sequence[bool] | None = None
 ) -> int:
     """Exact size of the (optionally permutation-restricted) instance space."""
-    mask = _normalized_mask(k, variant, perm_mask)
+    mask = _normalized_mask(n, k, variant, perm_mask)
     count = n
     for need_perm in mask:
         count *= math.factorial(n) if need_perm else n**n
@@ -377,7 +390,7 @@ def instance_count(
 def _layer_space(n: int, need_perm: bool) -> list[LayerFunction]:
     points = range(1, n + 1)
     values = itertools.permutations(points) if need_perm else itertools.product(points, repeat=n)
-    return [LayerFunction(n, vals) for vals in values]
+    return [_trusted(LayerFunction, n, vals) for vals in values]
 
 
 def enumerate_instances(
@@ -391,53 +404,28 @@ def enumerate_instances(
     """Yield the full instance space in lexicographic (i, layers..., x) order.
 
     Refuses up front (BudgetExceededError) when the space is larger than
-    `budget`, reporting the exact count.
+    `budget`, reporting the exact count. Parts are then built trusted and
+    shared: each layer and bit layer once, each tuple of layers per start.
     """
-    mask = _normalized_mask(k, variant, perm_mask)
+    mask = _normalized_mask(n, k, variant, perm_mask)
     count = instance_count(n, k, variant, mask)
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    spaces = [range(1, n + 1), *[_layer_space(n, need_perm) for need_perm in mask]]
+    by_kind = {need_perm: _layer_space(n, need_perm) for need_perm in set(mask)}
+    spaces = [by_kind[need_perm] for need_perm in mask]
+    # One start at a time, so a stream holds no tuple of layers past its
+    # instances; within a start each tuple is shared by every x.
     if variant is Variant.MPJ:
-        spaces.append([BitVector(n, bits) for bits in itertools.product((0, 1), repeat=n)])
-        for i, *layers, x in itertools.product(*spaces):
-            yield MpjInstance(n, k, i, tuple(layers), x)
+        xs = [_trusted(BitVector, n, bits) for bits in itertools.product((0, 1), repeat=n)]
+        for i in range(1, n + 1):
+            for layers in itertools.product(*spaces):
+                for x in xs:
+                    yield _built(MpjInstance, n, k, i, layers, x)
     else:
-        for i, *layers in itertools.product(*spaces):
-            yield MpjHatInstance(n, k, i, tuple(layers), mask)
-
-
-def _randints(getrandbits: Callable[[int], int], low: int, high: int, count: int) -> list[int]:
-    """`count` values in [low, high], drawn as `Random.randint(low, high)` draws each.
-
-    That is low plus a draw below m = high - low + 1 by the rule that
-    `randint`, `randrange` and `shuffle` share in CPython 3.10-3.13:
-    `getrandbits(m.bit_length())`, drawn again while it is at least m.
-    """
-    m = high - low + 1
-    width = m.bit_length()
-    out = []
-    for _ in range(count):
-        r = getrandbits(width)
-        while r >= m:
-            r = getrandbits(width)
-        out.append(low + r)
-    return out
-
-
-def _sample_layer(getrandbits: Callable[[int], int], n: int, need_perm: bool) -> LayerFunction:
-    if not need_perm:
-        return LayerFunction(n, tuple(_randints(getrandbits, 1, n, n)))
-    # shuffle's swaps on [1..n]: position t with a draw below t + 1
-    vals = list(range(1, n + 1))
-    for t in range(n - 1, 0, -1):
-        width = (t + 1).bit_length()
-        j = getrandbits(width)
-        while j > t:
-            j = getrandbits(width)
-        vals[t], vals[j] = vals[j], vals[t]
-    return LayerFunction(n, tuple(vals))
+        for i in range(1, n + 1):
+            for layers in itertools.product(*spaces):
+                yield _built(MpjHatInstance, n, k, i, layers, mask)
 
 
 def sample_instance(
@@ -471,30 +459,42 @@ def sample_instances(
     swaps applied to [1..n], and each bit is a draw below 2. These are the
     draws `randint` and `shuffle` make, and sha256 digests of sampled
     streams in the tests pin them. The seed must be at least 0: `Random`
-    seeds with |seed|, so -s would repeat the stream of s.
+    seeds with |seed|, so -s would repeat the stream of s. The arguments
+    are checked once, at the call; instances are then built trusted.
     """
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
-    mask = _normalized_mask(k, variant, perm_mask)
-    return _sampled(n, k, variant, mask, count, random.Random(seed).getrandbits)
+    mask = _normalized_mask(n, k, variant, perm_mask)
+    getrandbits = random.Random(seed).getrandbits
 
+    def below(m: int) -> Iterator[int]:
+        """Endless lazy draws below m: getrandbits(m.bit_length()), redrawn while >= m."""
+        return filter(m.__gt__, map(getrandbits, itertools.repeat(m.bit_length())))
 
-def _sampled(
-    n: int,
-    k: int,
-    variant: Variant,
-    mask: tuple[bool, ...],
-    count: int,
-    getrandbits: Callable[[int], int],
-) -> Iterator[Instance]:
-    for _ in range(count):
-        i = _randints(getrandbits, 1, n, 1)[0]
-        layers = tuple(_sample_layer(getrandbits, n, need_perm) for need_perm in mask)
-        if variant is Variant.MPJ:
-            bits = BitVector(n, tuple(_randints(getrandbits, 0, 1, n)))
-            yield MpjInstance(n, k, i, layers, bits)
-        else:
-            yield MpjHatInstance(n, k, i, layers, mask)
+    def stream() -> Iterator[Instance]:
+        point = map((1).__add__, below(n))
+        bit = below(2)
+        swaps = range(n - 1, 0, -1)  # shuffle's: position t with a draw below t + 1
+        swap_draws = [below(t + 1) for t in swaps]
+        identity = list(range(1, n + 1))
+        for _ in range(count):
+            i = next(point)
+            layers = []
+            for need_perm in mask:
+                if need_perm:
+                    vals = identity.copy()
+                    for t, j in zip(swaps, map(next, swap_draws)):
+                        vals[t], vals[j] = vals[j], vals[t]
+                    layers.append(_trusted(LayerFunction, n, tuple(vals)))
+                else:
+                    layers.append(_trusted(LayerFunction, n, tuple(itertools.islice(point, n))))
+            if variant is Variant.MPJ:
+                x = _trusted(BitVector, n, tuple(itertools.islice(bit, n)))
+                yield _built(MpjInstance, n, k, i, tuple(layers), x)
+            else:
+                yield _built(MpjHatInstance, n, k, i, tuple(layers), mask)
+
+    return stream()
 
 
 def instance_to_dict(inst: Instance) -> dict:

@@ -7,6 +7,7 @@ compositions independently of the library code, then frozen.
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,28 @@ class TestEnumeration:
         insts = list(enumerate_instances(3, 4, Variant.MPJ))
         assert len({id(inst.x) for inst in insts}) <= 2**3
 
+    def test_each_tuple_of_layers_is_built_once_per_start(self):
+        insts = list(enumerate_instances(3, 4, Variant.MPJ))
+        ids = {}
+        for inst in insts:
+            ids.setdefault((inst.i, inst.middles), set()).add(id(inst.middles))
+        assert len(ids) == 3 * 27**2
+        assert all(len(same) == 1 for same in ids.values())
+        # both middle layers range over one list of the 27 layers
+        assert len({id(f) for inst in insts for f in inst.middles}) == 27
+
+    def test_a_stream_holds_no_past_tuple_of_layers(self):
+        # 23,328 instances from 7,776 tuples of five layers: keeping every
+        # tuple for the next start would hold several hundred KiB
+        tracemalloc.start()
+        try:
+            for _ in enumerate_instances(3, 6, Variant.MPJ_HAT, (True,) * 5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
 
 def stream_digest(insts):
     """sha256 of the JSON list of the instances' shared dict forms."""
@@ -285,6 +308,50 @@ class TestPinnedStreams:
     @pytest.mark.parametrize("n, k, variant, mask, digest", ENUMERATED_DIGESTS)
     def test_enumerated_space(self, n, k, variant, mask, digest):
         assert stream_digest(enumerate_instances(n, k, variant, mask)) == digest
+
+
+def rebuilt(inst):
+    """`inst` built again through the public constructors, every check run."""
+    if isinstance(inst, MpjInstance):
+        layers = tuple(LayerFunction(f.n, f.values) for f in inst.middles)
+        return MpjInstance(inst.n, inst.k, inst.i, layers, BitVector(inst.x.n, inst.x.bits))
+    layers = tuple(LayerFunction(f.n, f.values) for f in inst.layers)
+    return MpjHatInstance(inst.n, inst.k, inst.i, layers, inst.perm_mask)
+
+
+def assert_same_object(built, checked):
+    """Same type, equality, hash and fields, in field order, as `checked`."""
+    assert type(built) is type(checked)
+    assert built == checked
+    assert hash(built) == hash(checked)
+    assert list(vars(built)) == list(vars(checked))
+    for name, value in vars(checked).items():
+        part = getattr(built, name)
+        if isinstance(value, tuple):
+            assert type(part) is tuple and len(part) == len(value)
+            for a, b in zip(part, value):
+                assert type(a) is type(b)
+                if isinstance(b, LayerFunction):
+                    assert_same_object(a, b)
+        elif isinstance(value, BitVector):
+            assert_same_object(part, value)
+        else:
+            assert type(part) is type(value) and part == value
+
+
+class TestGeneratedInstancesMatchCheckedOnes:
+    """Generated instances skip per-value checks; each must be the object
+    the public constructors would build from the same values."""
+
+    @pytest.mark.parametrize("n, k, variant, mask, digest", SAMPLED_DIGESTS)
+    def test_sampled(self, n, k, variant, mask, digest):
+        for inst in sample_instances(n, k, variant, mask, count=50, seed=7):
+            assert_same_object(inst, rebuilt(inst))
+
+    @pytest.mark.parametrize("n, k, variant, mask, digest", ENUMERATED_DIGESTS)
+    def test_enumerated(self, n, k, variant, mask, digest):
+        for inst in enumerate_instances(n, k, variant, mask):
+            assert_same_object(inst, rebuilt(inst))
 
 
 class TestSampling:
@@ -336,6 +403,72 @@ class TestSampling:
         inst = sample_instance(16, 4, Variant.MPJ_HAT, (True,) * 3, seed=9)
         assert all(f.is_permutation for f in inst.layers)
         assert inst.perm_mask == (True, True, True)
+
+
+M, H = Variant.MPJ, Variant.MPJ_HAT
+
+# Every refusal of the generators and instance_count: the exception type
+# and its whole text, recorded before the generators built instances
+# trusted. Rows under "fixed" changed with that: sampling at n = 0 gave a
+# generator whose first draw never ended, k = 1 on the Boolean variant
+# was refused for its mask (or counted 24 instances), and a negative n
+# was counted as 0.5 or refused by itertools.
+REFUSALS = [
+    ("sample, negative seed", lambda: sample_instances(4, 3, M, count=1, seed=-3),
+     ValueError, "seed must be at least 0, got -3"),
+    ("sample one, negative seed", lambda: sample_instance(4, 3, M, seed=-1),
+     ValueError, "seed must be at least 0, got -1"),
+    ("sample mpj, mask too long", lambda: sample_instances(5, 4, M, (False,) * 3, count=1),
+     ValueError, "perm_mask must have 2 entries, got 3"),
+    ("sample mpjhat, mask too short", lambda: sample_instances(5, 4, H, (False,) * 2, count=1),
+     ValueError, "perm_mask must have 3 entries, got 2"),
+    ("enumerate mpj, mask too long", lambda: list(enumerate_instances(2, 4, M, (False,) * 3)),
+     ValueError, "perm_mask must have 2 entries, got 3"),
+    ("enumerate mpjhat, mask too short", lambda: list(enumerate_instances(2, 4, H, (True,))),
+     ValueError, "perm_mask must have 3 entries, got 1"),
+    ("count mpj, mask too long", lambda: instance_count(5, 4, M, (False,) * 3),
+     ValueError, "perm_mask must have 2 entries, got 3"),
+    ("enumerate mpj, n = 0", lambda: list(enumerate_instances(0, 3, M)),
+     ValueError, "n must be positive, got 0"),
+    ("enumerate mpj, n = 0, k = 2", lambda: list(enumerate_instances(0, 2, M)),
+     ValueError, "n must be positive, got 0"),
+    ("enumerate mpjhat, n = 0", lambda: list(enumerate_instances(0, 3, H)),
+     ValueError, "n must be positive, got 0"),
+    ("enumerate mpjhat, n = 0, permutations",
+     lambda: list(enumerate_instances(0, 3, H, (True, True))),
+     ValueError, "n must be positive, got 0"),
+    ("sample mpjhat, k = 1", lambda: list(sample_instances(3, 1, H, count=1, seed=1)),
+     ValueError, "k must be at least 2, got 1"),
+    ("enumerate mpjhat, k = 1", lambda: list(enumerate_instances(3, 1, H)),
+     ValueError, "k must be at least 2, got 1"),
+    ("enumerate mpj, over budget", lambda: list(enumerate_instances(3, 3, M, budget=647)),
+     BudgetExceededError, "enumeration would produce 648 instances, over the budget of 647"),
+    ("enumerate mpjhat, over budget",
+     lambda: list(enumerate_instances(4, 3, H, (True, True), budget=100)),
+     BudgetExceededError, "enumeration would produce 2304 instances, over the budget of 100"),
+    ("sample mpj, k = 1", lambda: list(sample_instances(3, 1, M, count=1, seed=1)),
+     ValueError, "k must be at least 2, got 1"),
+    # fixed
+    ("sample mpj, n = 0, at the call", lambda: sample_instances(0, 3, M, count=1, seed=1),
+     ValueError, "n must be positive, got 0"),
+    ("enumerate mpj, k = 1", lambda: list(enumerate_instances(2, 1, M)),
+     ValueError, "k must be at least 2, got 1"),
+    ("count mpj, k = 1", lambda: instance_count(3, 1, M),
+     ValueError, "k must be at least 2, got 1"),
+    ("count mpj, n = -1", lambda: instance_count(-1, 3, M),
+     ValueError, "n must be positive, got -1"),
+    ("enumerate mpj, n = -1", lambda: list(enumerate_instances(-1, 3, M)),
+     ValueError, "n must be positive, got -1"),
+]
+
+
+@pytest.mark.parametrize("call, kind, text", [row[1:] for row in REFUSALS],
+                         ids=[row[0] for row in REFUSALS])
+def test_refusal_type_and_text(call, kind, text):
+    with pytest.raises(Exception) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == text
 
 
 class TestJsonForms:
