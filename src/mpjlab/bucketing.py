@@ -267,8 +267,3 @@ def bucketing_protocol(n: int, k: int) -> ProtocolHandle:
     """Iterated-log bucket announcements; first player sends exactly
     n * ceil(log2 applied k-1 times) bits."""
     return protocol_for_plan(bucket_width_plan(n, k), "bucketing")
-
-
-def bucketing_protocol_doubling(n: int, k: int) -> ProtocolHandle:
-    """Doubling bucket widths with early termination once buckets are singletons."""
-    return protocol_for_plan(doubling_plan(n, k), "bucketing-doubling")

@@ -176,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "n": args.n,
         "k": built.handle.k,
         "checked": report.checked,
-        "failures": len(report.failures),
+        "failures": report.failed,
         "worst_cost": report.worst_cost,
         "worst_prefix_cost": report.worst_prefix_cost,
         "per_player_max_bits": list(report.per_player_max_bits),
@@ -196,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"protocol {built.handle.name}: checked {report.checked} instances, "
-            f"{len(report.failures)} failures",
+            f"{report.failed} failures",
             f"worst cost {report.worst_cost} bits total, {report.worst_prefix_cost} "
             f"before the output message",
             f"per-player max bits: {list(report.per_player_max_bits)}",
@@ -232,7 +232,7 @@ def _result_rows(args: argparse.Namespace) -> tuple[list[dict], int]:
                 "max_cost": report.worst_cost,
                 "per_player": list(report.per_player_max_bits),
                 "checked": report.checked,
-                "failures": len(report.failures),
+                "failures": report.failed,
                 "bound": bound,
                 "bound_ok": bound_ok,
             }

@@ -148,10 +148,6 @@ class LayerFunction:
     def is_permutation(self) -> bool:
         return len(set(self.values)) == self.n
 
-    def range_values(self) -> tuple[int, ...]:
-        """Distinct outputs, ascending."""
-        return tuple(sorted(set(self.values)))
-
     def fiber(self, s: int) -> tuple[int, ...]:
         """All preimages of s, ascending (empty when s is not hit)."""
         _check_point(self.n, s, "fiber point")
@@ -401,31 +397,35 @@ def enumerate_instances(
     *,
     budget: int = 2_000_000,
 ) -> Iterator[Instance]:
-    """Yield the full instance space in lexicographic (i, layers..., x) order.
+    """Stream the full instance space in lexicographic (i, layers..., x) order.
 
-    Refuses up front (BudgetExceededError) when the space is larger than
-    `budget`, reporting the exact count. Parts are then built trusted and
-    shared: each layer and bit layer once, each tuple of layers per start.
+    The arguments are checked at the call, which refuses up front
+    (BudgetExceededError) when the space is larger than `budget`, reporting
+    the exact count. Parts are then built trusted and shared: each layer and
+    bit layer once, each tuple of layers per start.
     """
     mask = _normalized_mask(n, k, variant, perm_mask)
     count = instance_count(n, k, variant, mask)
     if count > budget:
         raise BudgetExceededError(count, budget)
 
-    by_kind = {need_perm: _layer_space(n, need_perm) for need_perm in set(mask)}
-    spaces = [by_kind[need_perm] for need_perm in mask]
-    # One start at a time, so a stream holds no tuple of layers past its
-    # instances; within a start each tuple is shared by every x.
-    if variant is Variant.MPJ:
-        xs = [_trusted(BitVector, n, bits) for bits in itertools.product((0, 1), repeat=n)]
-        for i in range(1, n + 1):
-            for layers in itertools.product(*spaces):
-                for x in xs:
-                    yield _built(MpjInstance, n, k, i, layers, x)
-    else:
-        for i in range(1, n + 1):
-            for layers in itertools.product(*spaces):
-                yield _built(MpjHatInstance, n, k, i, layers, mask)
+    def stream() -> Iterator[Instance]:
+        by_kind = {need_perm: _layer_space(n, need_perm) for need_perm in set(mask)}
+        spaces = [by_kind[need_perm] for need_perm in mask]
+        # One start at a time, so a stream holds no tuple of layers past its
+        # instances; within a start each tuple is shared by every x.
+        if variant is Variant.MPJ:
+            xs = [_trusted(BitVector, n, bits) for bits in itertools.product((0, 1), repeat=n)]
+            for i in range(1, n + 1):
+                for layers in itertools.product(*spaces):
+                    for x in xs:
+                        yield _built(MpjInstance, n, k, i, layers, x)
+        else:
+            for i in range(1, n + 1):
+                for layers in itertools.product(*spaces):
+                    yield _built(MpjHatInstance, n, k, i, layers, mask)
+
+    return stream()
 
 
 def sample_instance(

@@ -406,10 +406,19 @@ class Failure:
     error: str | None = None
 
 
+KEPT_FAILURES = 64
+"""How many failures a `VerifyReport` keeps with their instances: `cli` reads
+the first, and the tests read all 16 of their crash and wrong-answer cases."""
+
+
 @dataclass(frozen=True)
 class VerifyReport:
+    """`failed` counts every failing run; `failures` keeps the first
+    `KEPT_FAILURES` of them, in stream order."""
+
     protocol: str
     checked: int
+    failed: int
     failures: tuple[Failure, ...]
     worst_cost: int
     worst_prefix_cost: int
@@ -417,16 +426,18 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
 
 
 def verify(protocol: ProtocolHandle, instances: Iterable[Instance]) -> VerifyReport:
     """Run the protocol against the brute-force answer for every instance.
 
     A player that raises fails that instance only (`call_player` makes any
-    exception a protocol error); the sweep carries on.
+    exception a protocol error); the sweep carries on. Nothing kept grows
+    with the sweep: past the first `KEPT_FAILURES`, failures are only counted.
     """
     checked = 0
+    failed = 0
     failures: list[Failure] = []
     worst = 0
     worst_prefix = 0
@@ -437,13 +448,17 @@ def verify(protocol: ProtocolHandle, instances: Iterable[Instance]) -> VerifyRep
         try:
             transcript = run(protocol, inst)
         except (ProtocolContractError, ProtocolInvariantError) as exc:
-            failures.append(Failure(inst, expected, None, f"{type(exc).__name__}: {exc}"))
-            continue
-        if transcript.output != expected:
-            failures.append(Failure(inst, expected, transcript.output))
-        worst = max(worst, transcript.total_cost)
-        worst_prefix = max(worst_prefix, transcript.prefix_cost)
-        per_player = [max(a, b) for a, b in zip(per_player, transcript.per_player_bits)]
+            failure = Failure(inst, expected, None, f"{type(exc).__name__}: {exc}")
+        else:
+            worst = max(worst, transcript.total_cost)
+            worst_prefix = max(worst_prefix, transcript.prefix_cost)
+            per_player = [max(a, b) for a, b in zip(per_player, transcript.per_player_bits)]
+            if transcript.output == expected:
+                continue
+            failure = Failure(inst, expected, transcript.output)
+        failed += 1
+        if len(failures) < KEPT_FAILURES:
+            failures.append(failure)
     return VerifyReport(
-        protocol.name, checked, tuple(failures), worst, worst_prefix, tuple(per_player)
+        protocol.name, checked, failed, tuple(failures), worst, worst_prefix, tuple(per_player)
     )

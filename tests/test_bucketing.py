@@ -18,9 +18,9 @@ from mpjlab.bucketing import (
     bucket_members,
     bucket_width_plan,
     bucketing_protocol,
-    bucketing_protocol_doubling,
     doubling_plan,
     iterated_log,
+    protocol_for_plan,
 )
 from mpjlab.core import (
     LayerFunction,
@@ -269,14 +269,14 @@ class TestBucketingProtocol:
 class TestDoublingProtocol:
     def test_degenerate_single_announcer(self):
         report = verify(
-            bucketing_protocol_doubling(2, 3),
+            protocol_for_plan(doubling_plan(2, 3), "bucketing-doubling"),
             enumerate_instances(2, 3, Variant.MPJ_HAT, all_perm_mask(3)),
         )
         assert report.ok and report.checked == 8
         assert report.per_player_max_bits == (2, 0, 1)  # middle player is silent
 
     def test_early_termination_silences_late_players(self):
-        proto = bucketing_protocol_doubling(16, 8)
+        proto = protocol_for_plan(doubling_plan(16, 8), "bucketing-doubling")
         insts = sample_instances(16, 8, Variant.MPJ_HAT, all_perm_mask(8), count=60, seed=2)
         report = verify(proto, insts)
         assert report.ok
@@ -285,7 +285,7 @@ class TestDoublingProtocol:
 
     def test_total_cost_stays_linear(self):
         for n, k in ((8, 5), (16, 5), (32, 6)):  # k = log* n + 2
-            proto = bucketing_protocol_doubling(n, k)
+            proto = protocol_for_plan(doubling_plan(n, k), "bucketing-doubling")
             insts = sample_instances(n, k, Variant.MPJ_HAT, all_perm_mask(k), count=200, seed=n)
             report = verify(proto, insts)
             assert report.ok
@@ -362,7 +362,7 @@ class TestTamperedBlackboards:
     def test_last_player_checks_a_terminal_first_announcement(self):
         # doubling at n=2 ends with player 1, so the last player reads the
         # first announcement directly
-        proto = bucketing_protocol_doubling(2, 3)
+        proto = protocol_for_plan(doubling_plan(2, 3), "bucketing-doubling")
         assert doubling_plan(2, 3).terminal == 1
         inst = MpjHatInstance(2, 3, 1, (layer(2, 1), layer(1, 2)), all_perm_mask(3))
         assert run(proto, inst).messages[0] == Message.from01("10")
@@ -371,16 +371,16 @@ class TestTamperedBlackboards:
             proto.players[2](view)
 
 
-BUILDERS = {"bucketing": bucketing_protocol, "bucketing-doubling": bucketing_protocol_doubling}
+PLANS = {"bucketing": bucket_width_plan, "bucketing-doubling": doubling_plan}
 
 
 def admitted_handles():
     """(handle, n, k) for both plans at n in {4, 16, 100} and each k in
     3..9 the plan admits, plus (4, 40)."""
-    for build in BUILDERS.values():
+    for name, plan_of in PLANS.items():
         for n, k in [*((n, k) for n in (4, 16, 100) for k in range(3, 10)), (4, 40)]:
             try:
-                handle = build(n, k)
+                handle = protocol_for_plan(plan_of(n, k), name)
             except ValueError:  # doubling needs enough players
                 continue
             yield handle, n, k
@@ -442,7 +442,7 @@ class TestPinnedWireFormat:
     def test_seeded_transcripts(self, name, n, k, count):
         digest = hashlib.sha256()
         try:
-            proto = BUILDERS[name](n, k)
+            proto = protocol_for_plan(PLANS[name](n, k), name)
         except ValueError as exc:
             digest.update(f"refused: {exc}\n".encode())
         else:

@@ -87,7 +87,6 @@ class TestLayerFunction:
         assert f.fiber(2) == (1, 2)
         assert f.fiber(4) == (3, 4)
         assert f.fiber(1) == ()
-        assert f.range_values() == (2, 4)
 
     def test_composition_applies_inner_first(self):
         f = layer(2, 3, 1)
@@ -451,6 +450,10 @@ REFUSALS = [
     # fixed
     ("sample mpj, n = 0, at the call", lambda: sample_instances(0, 3, M, count=1, seed=1),
      ValueError, "n must be positive, got 0"),
+    ("enumerate mpj, n = 0, at the call", lambda: enumerate_instances(0, 3, M),
+     ValueError, "n must be positive, got 0"),
+    ("enumerate mpj, over budget, at the call", lambda: enumerate_instances(3, 3, M, budget=647),
+     BudgetExceededError, "enumeration would produce 648 instances, over the budget of 647"),
     ("enumerate mpj, k = 1", lambda: list(enumerate_instances(2, 1, M)),
      ValueError, "k must be at least 2, got 1"),
     ("count mpj, k = 1", lambda: instance_count(3, 1, M),

@@ -54,8 +54,8 @@ from mpjlab.bucketing import (
     bucket_members,
     bucket_width_plan,
     bucketing_protocol,
-    bucketing_protocol_doubling,
     doubling_plan,
+    protocol_for_plan,
 )
 from mpjlab import adversary
 from mpjlab.adversary import (
@@ -1133,23 +1133,17 @@ class TestOnePlanPerMiddles:
 
 # -- bucketing players on ints ----------------------------------------------------
 
-BUCKETING = {
-    "bucketing": (bucketing_protocol, bucket_width_plan),
-    "bucketing-doubling": (bucketing_protocol_doubling, doubling_plan),
-}
+BUCKETING = {"bucketing": bucket_width_plan, "bucketing-doubling": doubling_plan}
 
 
 def bucketing_cases(name, k):
     """(new handle, old handle, plan) for every n in 1..40 the plan admits."""
-    build, plan_of = BUCKETING[name]
     for n in range(1, 41):
         try:
-            plan = plan_of(n, k)
-        except ValueError as exc:  # doubling needs enough players
-            with pytest.raises(ValueError, match=str(exc)):
-                build(n, k)
+            plan = BUCKETING[name](n, k)
+        except ValueError:  # doubling needs enough players
             continue
-        yield build(n, k), ref_make_bucketing(plan, name), plan
+        yield protocol_for_plan(plan, name), ref_make_bucketing(plan, name), plan
 
 
 def run_outcome(protocol, inst):
@@ -1205,10 +1199,10 @@ TAMPER_CASES = [
 def tampered_runs(name, n, k):
     """(instance, label, j, board, expected error) over 25 seeded runs: the
     first k-1 messages with announcement j tampered."""
-    build, plan_of = BUCKETING[name]
-    plan = plan_of(n, k)
+    plan = BUCKETING[name](n, k)
+    proto = protocol_for_plan(plan, name)
     for inst in sample_instances(n, k, Variant.MPJ_HAT, (True,) * (k - 1), count=25, seed=n + k):
-        good = sim.run(build(n, k), inst).messages[: k - 1]
+        good = sim.run(proto, inst).messages[: k - 1]
         for label, j, msg, error in tampered_boards(inst, good, plan):
             yield inst, label, j, good[: j - 1] + (msg,) + good[j:], error
 
@@ -1235,9 +1229,8 @@ class TestBucketingPlayers:
 
     @pytest.mark.parametrize("name, n, k", TAMPER_CASES)
     def test_tampered_boards_raise_as_before(self, name, n, k):
-        build, plan_of = BUCKETING[name]
-        plan = plan_of(n, k)
-        new, old = build(n, k), ref_make_bucketing(plan, name)
+        plan = BUCKETING[name](n, k)
+        new, old = protocol_for_plan(plan, name), ref_make_bucketing(plan, name)
         seen = set()
         for inst, label, j, board, error in tampered_runs(name, n, k):
             seen.add(label)
@@ -1259,7 +1252,7 @@ class TestBucketingPlayers:
         # and the last player meets each of its errors
         labels, errors = set(), set()
         for name, n, k in TAMPER_CASES:
-            last = BUCKETING[name][0](n, k).players[k - 1]
+            last = protocol_for_plan(BUCKETING[name](n, k), name).players[k - 1]
             for inst, label, _, board, _ in tampered_runs(name, n, k):
                 labels.add(label)
                 errors.add(outcome(last, make_view(inst, k, ViewKind.COLLAPSING, board))[1])

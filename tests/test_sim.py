@@ -1,6 +1,7 @@
 """Blackboard runtime: messages, views, replay checks, verification."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -12,10 +13,15 @@ from mpjlab.core import (
     Variant,
     compose_bits,
     enumerate_instances,
+    eval_instance,
+    sample_instances,
 )
 from mpjlab.cli import main
 from mpjlab.jump import index_protocol
+from mpjlab.registry import build_protocol
 from mpjlab.sim import (
+    KEPT_FAILURES,
+    Failure,
     Message,
     PlayerView,
     ProtocolContractError,
@@ -406,6 +412,50 @@ class TestVerify:
         assert report.per_player_max_bits == (3, 1)  # from the clean runs only
         with pytest.raises(ProtocolInvariantError):
             run(crashing, report.failures[0].inst)
+
+    def test_counts_every_failure_and_keeps_the_first(self):
+        # silent, then 0, except that walk point 2 trips an invariant: 216
+        # crashes and 216 wrong answers, interleaved in stream order
+        def answer(view):
+            if view.walked == 2:
+                raise ProtocolInvariantError("no answer at 2")
+            return Message((0,))
+
+        silent = lambda view: Message()
+        proto = ProtocolHandle(
+            "crash-or-zero", 3, Variant.MPJ, ViewKind.FULL_ONE_WAY, (silent, silent, answer)
+        )
+        wrong = []
+        for inst in enumerate_instances(3, 3, Variant.MPJ):
+            expected = eval_instance(inst)
+            try:
+                got = run(proto, inst).output
+            except ProtocolInvariantError as exc:
+                wrong.append(Failure(inst, expected, None, f"ProtocolInvariantError: {exc}"))
+                continue
+            if got != expected:
+                wrong.append(Failure(inst, expected, got))
+        report = verify(proto, enumerate_instances(3, 3, Variant.MPJ))
+        assert report.checked == 648
+        assert report.failed == len(wrong) == 432
+        assert not report.ok
+        assert KEPT_FAILURES == 64
+        assert report.failures == tuple(wrong[:KEPT_FAILURES])
+        assert {f.got for f in report.failures} == {None, 0}
+
+    def test_memory_does_not_grow_with_failures(self):
+        built = build_protocol("broken-const", n=3, k=4)
+        tracemalloc.start()
+        try:
+            report = verify(
+                built.handle,
+                sample_instances(3, 4, built.variant, built.perm_mask, count=4000, seed=1),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.checked, report.failed) == (4000, 2069)
+        assert peak < 1 << 20
 
 
 class TestCostTables:
