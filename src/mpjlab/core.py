@@ -346,8 +346,9 @@ def collapsed_suffixes(inst: Instance) -> tuple[BitVector, ...] | tuple[LayerFun
     """
     if isinstance(inst, MpjInstance):
         return bit_suffixes(inst.x, inst.middles)
-    maps = [_trusted(LayerFunction, inst.n, tuple(range(1, inst.n + 1)))]
-    for f in reversed(inst.layers):
+    # the identity after the last layer, then that layer itself: no copy of it
+    maps = [_trusted(LayerFunction, inst.n, tuple(range(1, inst.n + 1))), inst.layers[-1]]
+    for f in reversed(inst.layers[:-1]):
         maps.append(maps[-1].after(f))
     maps.reverse()
     return tuple(maps)

@@ -226,7 +226,7 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
         for cover, suffix in zip(covers, bit_suffixes(x, middles[1:])):
             for pi in cover.perms:
                 a = P.alpha(pi, suffix)
-                if len(a) != m:
+                if a.length != m:
                     raise ProtocolContractError(f"alpha produced {len(a)} bits, expected {m}")
                 packed = (packed << m) | a.value
                 length += m
@@ -242,7 +242,7 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
             packed = 0
             for t in range(d - 1, -1, -1):  # the first opening is the highest m bits
                 b = P.beta(pointer, suffix, _packed((openings >> (t * m)) & mask, m))
-                if len(b) != m:
+                if b.length != m:
                     raise ProtocolContractError(f"beta produced {len(b)} bits, expected {m}")
                 packed = (packed << m) | b.value
             return _packed(packed, d * m)

@@ -17,7 +17,10 @@ simply do not contain invisible data, so reading outside the view is
 structurally impossible. A run derives the collapsed suffixes (O(kn)) and
 the walk points (O(k)) once and projects all k views from them. The
 runtime calls every message function twice and requires bit-identical
-results, which catches hidden state or stray randomness.
+results, which catches hidden state or stray randomness. The order of a
+player's checks lives in `run`'s loop: the first call and its type, the
+replay and its type, their equality, the declared bound; the output is
+decoded last.
 
 Costs are reported two ways: the full transcript length, and the length
 without the final output message (upper-bound formulas exclude the output).
@@ -262,8 +265,8 @@ def make_view(
     """Project an instance onto player j's view of the given kind.
 
     `run` passes `derived`, its one `_derive(inst)` for all k views; without
-    it the view derives its own. The fields are set in one update, not by
-    the frozen dataclass's one assignment per field.
+    it the view derives its own. The fields are set in one dict assignment,
+    not by the frozen dataclass's one assignment per field.
     """
     n, k = inst.n, inst.k
     if not 1 <= j <= k:
@@ -273,15 +276,15 @@ def make_view(
     # a conservative view shows only the walk point and the collapsed suffix
     shown = j >= 2 and kind is not ViewKind.CONSERVATIVE_COLLAPSING
     view = _new(PlayerView)
-    vars(view).update(
-        j=j, n=n, k=k, variant=inst.variant, kind=kind, messages=messages,
-        start=inst.i if shown else None,
-        walked=walk[j - 1],
-        prefix_layers=layers[: j - 2] if shown else (),
-        later_layers=layers[j - 1 :] if full else None,
-        final_bits=x if full and j != k else None,
-        suffix=suffixes[j - 1],
-    )
+    _setattr(view, "__dict__", {
+        "j": j, "n": n, "k": k, "variant": inst.variant, "kind": kind, "messages": messages,
+        "start": inst.i if shown else None,
+        "walked": walk[j - 1],
+        "prefix_layers": layers[: j - 2] if shown else (),
+        "later_layers": layers[j - 1 :] if full else None,
+        "final_bits": x if full and j != k else None,
+        "suffix": suffixes[j - 1],
+    })
     return view
 
 
@@ -330,41 +333,59 @@ class Transcript:
 
 
 def _decode_output(last: Message, n: int, variant: Variant) -> int:
+    length, value = last.length, last.value
     if variant is Variant.MPJ:
-        if len(last) != 1:
-            raise ProtocolContractError(
-                f"Boolean output message must be 1 bit, got {len(last)}"
-            )
-        return last.bit(0)
+        if length != 1:
+            raise ProtocolContractError(f"Boolean output message must be 1 bit, got {length}")
+        return value
     width = pointer_width(n)
-    if len(last) != width:
+    if length != width:
         raise ProtocolContractError(
-            f"pointer output message must be {width} bits, got {len(last)}"
+            f"pointer output message must be {width} bits, got {length}"
         )
-    try:
-        return decode_pointer(last, n)
-    except ValueError as exc:
-        raise ProtocolContractError(str(exc)) from None
+    if value >= n:  # the same refusal as decode_pointer's
+        raise ProtocolContractError(f"decoded pointer {value + 1} outside [1, {n}]")
+    return value + 1
+
+
+def _player_error(
+    j: int, *, raised: Exception | None = None, returned=None
+) -> ProtocolContractError:
+    """The error for player j's call that raised `raised` or returned the
+    non-Message `returned`. Built only on failure, for `call_player` and
+    `run` alike, so their texts cannot drift apart."""
+    if raised is not None:
+        return ProtocolContractError(f"player {j} raised {type(raised).__name__}: {raised}")
+    return ProtocolContractError(f"player {j} returned {type(returned).__name__}, not a Message")
 
 
 def call_player(fn: Callable[[PlayerView], Message], view: PlayerView) -> Message:
-    """Player view.j's message on `view`. Any exception but the two protocol
+    """Player view.j's message on `view`, for callers that make one call per
+    view (the adversary's cell search). Any exception but the two protocol
     errors becomes a ProtocolContractError naming the player and what they
     raised, so a crash fails the run instead of escaping as a traceback, and
-    so does a return value that is not a Message."""
+    so does a return value that is not a Message. `run` makes the same
+    checks inline, around both of its calls."""
     try:
         msg = fn(view)
     except (ProtocolContractError, ProtocolInvariantError):
         raise
     except Exception as exc:
-        raise ProtocolContractError(f"player {view.j} raised {type(exc).__name__}: {exc}") from exc
+        raise _player_error(view.j, raised=exc) from exc
     if not isinstance(msg, Message):
-        raise ProtocolContractError(f"player {view.j} returned {type(msg).__name__}, not a Message")
+        raise _player_error(view.j, returned=msg)
     return msg
 
 
 def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
-    """Execute one protocol run; replays every message to catch nondeterminism."""
+    """Execute one protocol run; replays every message to catch nondeterminism.
+
+    Each player's checks run in this order, and this loop is where the order
+    lives: the first call and its type check, the replay and its type
+    check, their equality (class, value and length), the declared bound.
+    The output is decoded after the last player. A crash or a non-Message
+    fails as `call_player` fails it.
+    """
     if inst.variant is not protocol.variant:
         raise ValueError(
             f"protocol expects variant {protocol.variant.value}, instance is {inst.variant.value}"
@@ -375,22 +396,41 @@ def run(protocol: ProtocolHandle, inst: Instance) -> Transcript:
         raise ValueError(f"protocol expects n={protocol.n}, instance has n={inst.n}")
 
     derived = _derive(inst)
-    messages: list[Message] = []
+    kind, bounds = protocol.view_kind, protocol.declared_max_bits
+    messages: tuple[Message, ...] = ()
+    per_player_bits = []
     for j, fn in enumerate(protocol.players, start=1):
-        view = make_view(inst, j, protocol.view_kind, tuple(messages), derived=derived)
-        msg = call_player(fn, view)
-        replay = call_player(fn, view)
-        if msg != replay:
+        view = make_view(inst, j, kind, messages, derived=derived)
+        try:
+            msg = fn(view)
+            if not isinstance(msg, Message):
+                raise _player_error(j, returned=msg)
+            replay = fn(view)
+        except (ProtocolContractError, ProtocolInvariantError):
+            raise
+        except Exception as exc:
+            raise _player_error(j, raised=exc) from exc
+        if (
+            replay.__class__ is not msg.__class__
+            or replay.value != msg.value
+            or replay.length != msg.length
+        ):
+            if not isinstance(replay, Message):
+                raise _player_error(j, returned=replay)
             raise ProtocolContractError(f"player {j} is nondeterministic on replay")
-        if protocol.declared_max_bits is not None:
-            bound = protocol.declared_max_bits[j - 1]
-            if len(msg) > bound:
-                raise ProtocolContractError(
-                    f"player {j} sent {len(msg)} bits, over its declared bound {bound}"
-                )
-        messages.append(msg)
-    output = _decode_output(messages[-1], inst.n, protocol.variant)
-    return Transcript(tuple(messages), output, tuple(len(m) for m in messages))
+        length = msg.length
+        if bounds is not None and length > bounds[j - 1]:
+            raise ProtocolContractError(
+                f"player {j} sent {length} bits, over its declared bound {bounds[j - 1]}"
+            )
+        messages += (msg,)
+        per_player_bits.append(length)
+    output = _decode_output(msg, inst.n, protocol.variant)
+    transcript = _new(Transcript)
+    _setattr(transcript, "__dict__", {
+        "messages": messages, "output": output, "per_player_bits": tuple(per_player_bits)
+    })
+    return transcript
 
 
 @dataclass(frozen=True)

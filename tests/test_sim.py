@@ -1,6 +1,8 @@
 """Blackboard runtime: messages, views, replay checks, verification."""
 
+import hashlib
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -252,6 +254,26 @@ def silent(view):
     return Message()
 
 
+def one_bit(view):
+    return Message((0,))
+
+
+def raising(exc):
+    def player(view):
+        raise exc
+
+    return player
+
+
+def on_replay(first, then):
+    """A player whose first call answers as `first` and every later call as `then`."""
+    calls = itertools.count()
+    return lambda view: (then if next(calls) else first)(view)
+
+
+BOOLEAN = MpjInstance(2, 2, 1, (), BitVector.from01("01"))
+
+
 class TestHandle:
     @pytest.mark.parametrize(
         "k, players, bounds, message",
@@ -289,77 +311,50 @@ class TestRun:
         with pytest.raises(ValueError):
             run(proto, MpjHatInstance(4, 2, 1, (layer(1, 2, 3, 4),)))  # wrong variant
 
-    def test_nondeterminism_is_caught(self):
-        calls = itertools.count()
-
-        def flaky(view):
-            return Message((next(calls) & 1,))
-
+    @pytest.mark.parametrize(
+        "players, bounds, inst, error, text",
+        [
+            (lambda: (silent, raising(ValueError("boom"))), None, BOOLEAN,
+             ProtocolContractError, "player 2 raised ValueError: boom"),
+            (lambda: (silent, on_replay(one_bit, raising(KeyError("late")))), None, BOOLEAN,
+             ProtocolContractError, "player 2 raised KeyError: 'late'"),
+            (lambda: (raising(ProtocolInvariantError("no plan")), one_bit), None, BOOLEAN,
+             ProtocolInvariantError, "no plan"),
+            (lambda: (silent, lambda v: "1"), None, BOOLEAN,
+             ProtocolContractError, "player 2 returned str, not a Message"),
+            (lambda: (silent, on_replay(one_bit, lambda v: 0)), None, BOOLEAN,
+             ProtocolContractError, "player 2 returned int, not a Message"),
+            (lambda: (silent, on_replay(one_bit, lambda v: Message((1,)))), None, BOOLEAN,
+             ProtocolContractError, "player 2 is nondeterministic on replay"),
+            (lambda: (on_replay(lambda v: Message((0, 0, 0)), lambda v: Message((1, 1, 1))),
+                      one_bit), (2, 1), BOOLEAN,
+             ProtocolContractError, "player 1 is nondeterministic on replay"),
+            (lambda: (lambda v: Message((0, 0, 0)), one_bit), (2, 1), BOOLEAN,
+             ProtocolContractError, "player 1 sent 3 bits, over its declared bound 2"),
+            (lambda: (silent, lambda v: Message((0, 1))), None, BOOLEAN,
+             ProtocolContractError, "Boolean output message must be 1 bit, got 2"),
+            (lambda: (silent, one_bit), None, MpjHatInstance(4, 2, 1, (layer(1, 2, 3, 4),)),
+             ProtocolContractError, "pointer output message must be 2 bits, got 1"),
+            (lambda: (silent, lambda v: Message((1, 1, 1))), None,
+             MpjHatInstance(5, 2, 1, (layer(1, 2, 3, 4, 5),)),
+             ProtocolContractError, "decoded pointer 8 outside [1, 5]"),
+        ],
+        ids=[
+            "crash-first-call", "crash-on-replay-only", "invariant-passes-unwrapped",
+            "non-message-first-call", "non-message-on-replay-only", "nondeterministic",
+            "nondeterministic-over-bound", "over-declared-bound", "boolean-output-two-bits",
+            "pointer-output-width", "pointer-output-range",
+        ],
+    )
+    def test_contract_failures(self, players, bounds, inst, error, text):
+        # the checks run in this order: the first call and its type, the
+        # replay and its type, their equality, the declared bound, the output
         proto = ProtocolHandle(
-            "flaky", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
-            (lambda v: Message(), flaky),
+            "faulty", 2, inst.variant, ViewKind.FULL_ONE_WAY, players(), declared_max_bits=bounds
         )
-        with pytest.raises(ProtocolContractError, match="nondeterministic"):
-            run(proto, MpjInstance(2, 2, 1, (), bits("01")))
-
-    def test_non_message_return_is_caught(self):
-        proto = ProtocolHandle(
-            "stringy", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
-            (lambda v: Message(), lambda v: "1"),
-        )
-        with pytest.raises(ProtocolContractError, match="not a Message"):
-            run(proto, MpjInstance(2, 2, 1, (), bits("01")))
-
-    def test_alternating_non_message_is_reported_by_type(self):
-        # the type is checked on every call, before the replay is compared
-        calls = itertools.count()
-
-        def flaky(view):
-            return 0 if next(calls) & 1 else Message((0,))
-
-        proto = ProtocolHandle(
-            "flaky", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY, (lambda v: Message(), flaky)
-        )
-        with pytest.raises(ProtocolContractError, match="^player 2 returned int, not a Message$"):
-            run(proto, MpjInstance(2, 2, 1, (), bits("01")))
-
-    def test_boolean_output_must_be_one_bit(self):
-        proto = ProtocolHandle(
-            "wide", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
-            (lambda v: Message(), lambda v: Message((0, 1))),
-        )
-        with pytest.raises(ProtocolContractError, match="1 bit"):
-            run(proto, MpjInstance(2, 2, 1, (), bits("01")))
-
-    def test_pointer_output_width_and_range(self):
-        def bad_width(view):
-            return Message((0,))
-
-        proto = ProtocolHandle(
-            "narrow", 2, Variant.MPJ_HAT, ViewKind.FULL_ONE_WAY,
-            (lambda v: Message(), bad_width),
-        )
-        with pytest.raises(ProtocolContractError, match="bits"):
-            run(proto, MpjHatInstance(4, 2, 1, (layer(1, 2, 3, 4),)))
-
-        def out_of_range(view):
-            return Message((1, 1, 1))  # names point 8 of [5]
-
-        proto5 = ProtocolHandle(
-            "overflow", 2, Variant.MPJ_HAT, ViewKind.FULL_ONE_WAY,
-            (lambda v: Message(), out_of_range),
-        )
-        with pytest.raises(ProtocolContractError):
-            run(proto5, MpjHatInstance(5, 2, 1, (layer(1, 2, 3, 4, 5),)))
-
-    def test_declared_bound_is_enforced(self):
-        proto = ProtocolHandle(
-            "chatty", 2, Variant.MPJ, ViewKind.FULL_ONE_WAY,
-            (lambda v: Message((0, 0, 0)), lambda v: Message((0,))),
-            declared_max_bits=(2, 1),
-        )
-        with pytest.raises(ProtocolContractError, match="declared bound"):
-            run(proto, MpjInstance(2, 2, 1, (), bits("01")))
+        with pytest.raises(error, match=f"^{re.escape(text)}$") as caught:
+            run(proto, inst)
+        assert type(caught.value) is error
 
 
 class TestVerify:
@@ -456,6 +451,40 @@ class TestVerify:
             tracemalloc.stop()
         assert (report.checked, report.failed) == (4000, 2069)
         assert peak < 1 << 20
+
+
+class TestTranscriptDigests:
+    """Every transcript of the benchmark's three sweep spaces, pinned by one
+    sha256 digest per space: each message's value and length, the output
+    and the bits per player. A faster runtime must leave them all equal."""
+
+    @pytest.mark.parametrize(
+        "protocol, n, k, d, samples, digest",
+        [
+            ("mpjk-sublinear", 3, 4, 2, None,
+             "9b7aa219bab1a8a61e02ffcdc169ffdba436d0beb640f291a6901992135a8c5e"),
+            ("bucketing", 16, 5, None, 2000,
+             "e5c87a79e3733ffbb692751980385597a711c994d18ed8516025ed7f7f3500d2"),
+            ("mpjk-sublinear", 16, 6, 2, 1000,
+             "5e6eebea5a8b725c358a370ab724648519e41ceb1c0bfd3130a519c5e564a1f7"),
+        ],
+        ids=["exhaustive-small", "sweep-bucketing", "sweep-sublinear"],
+    )
+    def test_every_transcript_is_unchanged(self, protocol, n, k, d, samples, digest):
+        built = build_protocol(protocol, n=n, k=k, d=d, seed=1)
+        if samples is None:
+            instances = enumerate_instances(n, k, built.variant, built.perm_mask)
+        else:
+            instances = sample_instances(
+                n, k, built.variant, built.perm_mask, count=samples, seed=1
+            )
+        h = hashlib.sha256()
+        for inst in instances:
+            t = run(built.handle, inst)
+            h.update(repr(
+                ([(m.value, m.length) for m in t.messages], t.output, t.per_player_bits)
+            ).encode())
+        assert h.hexdigest() == digest
 
 
 class TestCostTables:
