@@ -21,9 +21,9 @@ from contextlib import nullcontext
 from typing import Iterable, Sequence
 
 from .adversary import BoundRefusedError, CrossingSearchError, build_fooling_inputs, verify_fooling
-from .bucketing import bucket_report
 from .core import (
     BudgetExceededError,
+    Instance,
     LayerFunction,
     enumerate_instances,
     eval_instance,
@@ -32,7 +32,6 @@ from .core import (
     sample_instance,
     sample_instances,
 )
-from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
 from .registry import (
     MAX_WIDTH,
     BuiltProtocol,
@@ -132,6 +131,21 @@ def _check(
     return report, bound, None if bound is None else report.worst_prefix_cost <= bound
 
 
+def _check_mask(built: BuiltProtocol, inst: Instance) -> None:
+    """Refuse an instance layer that the protocol's permutation mask requires
+    to be a permutation and that is not one. A wrong variant or k is left to
+    `run`, which names it."""
+    mask = built.perm_mask
+    if mask is None or inst.variant is not built.variant or inst.k != built.handle.k:
+        return
+    for j, (f, need_perm) in enumerate(zip(inst.layers, mask), start=2):
+        if need_perm and not f.is_permutation:
+            raise ValueError(
+                f"instance layer f_{j} is not a permutation; "
+                f"{built.handle.name} takes permutation layers only"
+            )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     built = _build(args, args.n)
     if args.emit_buckets and built.bucket_plan is None:
@@ -145,6 +159,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         inst = instance_from_dict(doc)
         if inst.n != args.n:
             raise ValueError(f"instance width {inst.n} does not match --n {args.n}")
+        _check_mask(built, inst)
     else:
         inst = sample_instance(
             args.n, built.handle.k, built.variant, built.perm_mask, seed=args.seed
@@ -163,6 +178,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "correct": transcript.output == expected,
     }
     if args.emit_buckets:
+        from .bucketing import bucket_report
+
         payload["buckets"] = bucket_report(built.bucket_plan, transcript.messages)
     _emit(payload, args.output)
     return 0
@@ -290,6 +307,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
     n = _at_most("width", "n", len(args.f), MAX_WIDTH)
     f = LayerFunction(n, tuple(args.f))
     _cover_d(args.d, n)
+    from .covers import build_d_cover, build_sd_cover, verify_d_cover, verify_sd_cover
+
     if args.s is None:
         cover = build_d_cover(f, args.d)
         ok, witness = verify_d_cover(cover, f, args.d)

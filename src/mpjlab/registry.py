@@ -10,19 +10,29 @@ protocols, the bucket plan that both the handle and the bound come from.
 2(k-2)dm + n/d^(k-2) reads m from the subprotocol they are built on.
 Parametrized attack targets are spelled with their width in the name:
 truncate4, parity3, hash2.
+
+This module imports only `core` and `sim`. Each build function imports its
+protocol family when it first runs: `jump` (which loads `covers`) for index
+and the cover protocols, `bucketing` for both plans, `families` (which loads
+`adversary`) for the attack targets. So a fresh interpreter that builds
+one protocol, as each CLI command and benchmark pass does, compiles only
+that family. Every refusal (an unknown name, a fixed k, the size caps,
+d > n) runs before the family loads.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .bucketing import BucketPlan, bucket_bound, bucket_width_plan, doubling_plan, protocol_for_plan
 from .core import Variant
-from .families import constant_protocol, hashing_protocol, parity_protocol, truncating_protocol
-from .jump import PermProtocol3, index_protocol, mpj3_sublinear, mpjk_sublinear, naive_perm_protocol
 from .sim import ProtocolHandle, ViewKind
+
+if TYPE_CHECKING:
+    from .bucketing import BucketPlan
+    from .jump import PermProtocol3
 
 
 class UnknownProtocolError(ValueError):
@@ -105,61 +115,75 @@ def _at_most(what: str, symbol: str, value: int, cap: int) -> int:
     return value
 
 
+def _index(p: Params) -> BuiltProtocol:
+    from .jump import index_protocol
+
+    return BuiltProtocol(index_protocol(p.n), bound=float(p.n))
+
+
 def _cover(
-    make: Callable[[PermProtocol3, int, int], ProtocolHandle]
+    make: Callable[[ModuleType, PermProtocol3, int, int], ProtocolHandle]
 ) -> Callable[[Params], BuiltProtocol]:
-    """A cover protocol on the naive subprotocol P, with the bound
-    2(k-2)dm + n/d^(k-2) at P's message length m and the handle's k."""
+    """A cover protocol made from `jump` on the naive subprotocol P, with the
+    bound 2(k-2)dm + n/d^(k-2) at P's message length m and the handle's k."""
 
     def build(p: Params) -> BuiltProtocol:
-        P = naive_perm_protocol(p.n)
-        handle = make(P, _cover_d(p.d, p.n), p.k)
-        k, d = handle.k, p.d
+        d = _cover_d(p.d, p.n)
+        from . import jump
+
+        P = jump.naive_perm_protocol(p.n)
+        handle = make(jump, P, d, p.k)
+        k = handle.k
         return BuiltProtocol(handle, bound=2 * (k - 2) * d * P.m + p.n / d ** (k - 2))
 
     return build
 
 
-def _bucketing(plan_of: Callable[[int, int], BucketPlan], name: str) -> ProtocolSpec:
+def _bucketing(plan_of: Callable[[ModuleType, int, int], BucketPlan], name: str) -> ProtocolSpec:
     """Bucketing on all-permutation layers; the handle and the bound read
     one plan, computed once."""
 
     def build(p: Params) -> BuiltProtocol:
-        plan = plan_of(p.n, p.k)
+        from . import bucketing
+
+        plan = plan_of(bucketing, p.n, p.k)
         return BuiltProtocol(
-            protocol_for_plan(plan, name), (True,) * (plan.k - 1), bucket_bound(plan), plan
+            bucketing.protocol_for_plan(plan, name), (True,) * (plan.k - 1),
+            bucketing.bucket_bound(plan), plan,
         )
 
     return ProtocolSpec(build, default_k=3)
 
 
+def _target(make: Callable[[ModuleType, Params], ProtocolHandle]) -> ProtocolSpec:
+    """A `families` protocol with no bound, three players by default."""
+
+    def build(p: Params) -> BuiltProtocol:
+        from . import families
+
+        return BuiltProtocol(make(families, p))
+
+    return ProtocolSpec(build, default_k=3)
+
+
 PROTOCOLS: dict[str, ProtocolSpec] = {
-    "index": ProtocolSpec(
-        lambda p: BuiltProtocol(index_protocol(p.n), bound=float(p.n)), default_k=2, fixed_k=True
-    ),
+    "index": ProtocolSpec(_index, default_k=2, fixed_k=True),
     "mpj3-sublinear": ProtocolSpec(
-        _cover(lambda P, d, k: mpj3_sublinear(P, d)), default_k=3, fixed_k=True
+        _cover(lambda jump, P, d, k: jump.mpj3_sublinear(P, d)), default_k=3, fixed_k=True
     ),
-    "mpjk-sublinear": ProtocolSpec(_cover(mpjk_sublinear), default_k=4),
-    "bucketing": _bucketing(bucket_width_plan, "bucketing"),
-    "bucketing-doubling": _bucketing(doubling_plan, "bucketing-doubling"),
+    "mpjk-sublinear": ProtocolSpec(
+        _cover(lambda jump, P, d, k: jump.mpjk_sublinear(P, d, k)), default_k=4
+    ),
+    "bucketing": _bucketing(lambda b, n, k: b.bucket_width_plan(n, k), "bucketing"),
+    "bucketing-doubling": _bucketing(lambda b, n, k: b.doubling_plan(n, k), "bucketing-doubling"),
     # deliberately wrong: `constant` (silence, then 0) on a full one-way view
-    "broken-const": ProtocolSpec(
-        lambda p: BuiltProtocol(replace(
-            constant_protocol(p.n, p.k), name="broken-const", view_kind=ViewKind.FULL_ONE_WAY
-        )),
-        default_k=3,
-    ),
-    "constant": ProtocolSpec(lambda p: BuiltProtocol(constant_protocol(p.n, p.k)), default_k=3),
-    "truncate<t>": ProtocolSpec(
-        lambda p: BuiltProtocol(truncating_protocol(p.n, p.k, p.t)), default_k=3
-    ),
-    "parity<t>": ProtocolSpec(
-        lambda p: BuiltProtocol(parity_protocol(p.n, p.k, p.t, seed=p.seed)), default_k=3
-    ),
-    "hash<t>": ProtocolSpec(
-        lambda p: BuiltProtocol(hashing_protocol(p.n, p.k, p.t, seed=p.seed)), default_k=3
-    ),
+    "broken-const": _target(lambda f, p: replace(
+        f.constant_protocol(p.n, p.k), name="broken-const", view_kind=ViewKind.FULL_ONE_WAY
+    )),
+    "constant": _target(lambda f, p: f.constant_protocol(p.n, p.k)),
+    "truncate<t>": _target(lambda f, p: f.truncating_protocol(p.n, p.k, p.t)),
+    "parity<t>": _target(lambda f, p: f.parity_protocol(p.n, p.k, p.t, seed=p.seed)),
+    "hash<t>": _target(lambda f, p: f.hashing_protocol(p.n, p.k, p.t, seed=p.seed)),
 }
 
 BASE_NAMES = tuple(PROTOCOLS)

@@ -91,6 +91,21 @@ class TestRun:
         )
         assert code == 2 and "does not match" in err
 
+    @pytest.mark.parametrize("protocol", ["bucketing", "bucketing-doubling"])
+    def test_instance_outside_the_permutation_mask(self, capsys, tmp_path, protocol):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 4, "k": 3, "variant": "mpjhat", "i": 1, "layers": [[3, 3, 2, 1], [1, 2, 3, 4]]}
+        ))
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", protocol, "--n", "4", "--k", "3", "--instance", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: instance layer f_2 is not a permutation; {protocol} takes permutation "
+            f"layers only\n"
+        )
+
     def test_bucket_debug_payload(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--protocol", "bucketing", "--n", "8", "--k", "4",
@@ -578,8 +593,8 @@ class TestCoverParameterRange:
         def built(*args, **kwargs):
             raise AssertionError("built a cover or protocol for d > n")
 
-        for name in ("cli.build_d_cover", "cli.build_sd_cover",
-                     "registry.mpj3_sublinear", "registry.mpjk_sublinear"):
+        for name in ("covers.build_d_cover", "covers.build_sd_cover",
+                     "jump.mpj3_sublinear", "jump.mpjk_sublinear"):
             monkeypatch.setattr(f"mpjlab.{name}", built)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -727,8 +742,8 @@ class TestWidthRange:
         def built(*args, **kwargs):
             raise AssertionError("built a layer or cover past the width cap")
 
-        for name in ("LayerFunction", "build_d_cover", "build_sd_cover"):
-            monkeypatch.setattr(f"mpjlab.cli.{name}", built)
+        for name in ("cli.LayerFunction", "covers.build_d_cover", "covers.build_sd_cover"):
+            monkeypatch.setattr(f"mpjlab.{name}", built)
         points = ",".join(["1"] * (MAX_WIDTH + 1))
         code, out, err = run_cli(capsys, "cover", "--f", points, "--d", "1", *extra)
         assert code == 2 and out == ""

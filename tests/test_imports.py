@@ -51,3 +51,75 @@ inst = sample_instance(8, 3, Variant.MPJ, seed=1)
 print(run(built.handle, inst).per_player_bits)
 """
     assert fresh(code) == "[]\n(4, 4, 1)\n"
+
+
+JUMP = ["mpjlab.covers", "mpjlab.jump"]
+BUCKETING = ["mpjlab.bucketing"]
+FAMILIES = ["mpjlab.adversary", "mpjlab.families"]
+FAMILY_OF = {
+    "index": JUMP,
+    "mpj3-sublinear": JUMP,
+    "mpjk-sublinear": JUMP,
+    "bucketing": BUCKETING,
+    "bucketing-doubling": BUCKETING,
+    "broken-const": FAMILIES,
+    "constant": FAMILIES,
+    "truncate4": FAMILIES,
+    "parity4": FAMILIES,
+    "hash4": FAMILIES,
+}
+
+
+def loaded_by(call: str) -> str:
+    """The mpjlab modules that `call` adds once the registry is imported,
+    with a first line "refused" if it raised a ValueError."""
+    return fresh(f"""
+import sys
+from mpjlab.registry import MAX_PLAYERS, MAX_WIDTH, build_protocol
+before = set(sys.modules)
+try:
+    {call}
+except ValueError:
+    print("refused")
+print(sorted(m for m in set(sys.modules) - before if m.startswith("mpjlab")))
+""")
+
+
+def test_the_registry_loads_no_family():
+    code = "import sys, mpjlab.registry; print(sorted(m for m in sys.modules if m.startswith('mpjlab')))"
+    assert fresh(code) == "['mpjlab', 'mpjlab.core', 'mpjlab.registry', 'mpjlab.sim']\n"
+
+
+def test_the_table_names_every_buildable_entry():
+    from mpjlab.registry import BASE_NAMES
+
+    assert {name.replace("<t>", "4") for name in BASE_NAMES} == set(FAMILY_OF)
+
+
+@pytest.mark.parametrize("name", FAMILY_OF)
+def test_a_build_loads_only_its_own_family(name):
+    k = None if name in ("index", "mpj3-sublinear") else 4  # a fixed k is the entry's own
+    assert loaded_by(f"build_protocol({name!r}, n=8, k={k})") == f"{FAMILY_OF[name]}\n"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "build_protocol('nope', n=8)",
+        "build_protocol('index', n=8, k=3)",
+        "build_protocol('constant', n=MAX_WIDTH + 1)",
+        "build_protocol('bucketing', n=8, k=MAX_PLAYERS + 1)",
+        "build_protocol('mpjk-sublinear', n=4, d=5)",
+    ],
+    ids=["unknown name", "fixed k", "width cap", "player cap", "d over n"],
+)
+def test_a_refused_build_loads_nothing(call):
+    assert loaded_by(call) == "refused\n[]\n"
+
+
+def test_the_cli_loads_no_protocol_family():
+    code = "import sys, mpjlab.cli; print(sorted(m for m in sys.modules if m.startswith('mpjlab')))"
+    assert fresh(code) == (
+        "['mpjlab', 'mpjlab.adversary', 'mpjlab.cli', 'mpjlab.core', 'mpjlab.registry', "
+        "'mpjlab.sim']\n"
+    )
