@@ -319,7 +319,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         "n": n,
         "f": f.values,
         "d": args.d,
-        "scope": sorted(args.s) if args.s is not None else None,
+        "scope": sorted(cover.scope) if cover.scope is not None else None,
         "perms": [pi.values for pi in cover.perms],
         "verified": ok,
         "first_uncovered": witness,

@@ -18,6 +18,11 @@ after base. Over ell = 1..d every fiber point moves across min(d, block
 size) distinct targets, one of which is the fiber's output value unless
 the fiber is larger than d.
 
+A scoped cover of the empty set covers nothing, so it skips the
+construction and holds d identities. The cover protocols reach such
+scopes often: every point of a surviving set has more than d preimages in
+the level before, so the sets shrink fast and the deep ones are empty.
+
 Everything is deterministic: ranges ascend, blocks are filled with the
 smallest unused non-range points, and scoped fibers list in-scope points
 first. Each call builds its cover afresh and the module keeps no state;
@@ -156,7 +161,9 @@ def build_sd_cover(f: LayerFunction, scope: Iterable[int], d: int) -> CoverSet:
 
     In-scope fiber points are listed first (ascending), the fiber's output
     value is placed last in its block, and then the same base and step
-    rule applies. An empty scope is fine: the covering condition is vacuous.
+    rule applies. An empty scope makes the covering condition vacuous, so
+    any d permutations cover it: the cover is d copies of the identity,
+    built without the rotation construction.
     """
     if d < 1:
         raise ValueError("cover parameter d must be at least 1")
@@ -164,6 +171,9 @@ def build_sd_cover(f: LayerFunction, scope: Iterable[int], d: int) -> CoverSet:
     for r in scope_set:
         if not 1 <= r <= f.n:
             raise ValueError(f"scope point {r} outside [1, {f.n}]")
+    if not scope_set:
+        identity = _trusted(LayerFunction, f.n, tuple(range(1, f.n + 1)))
+        return CoverSet((identity,) * d, d, f, scope_set)
     return _cover(f, scope_set, d)
 
 

@@ -184,12 +184,15 @@ def _plan(
 
     Level 1 is all of [n] and takes the plain cover, which keeps the frozen
     k=3 transcripts; every later level is a strict subset (a survivor needs
-    more than d >= 1 preimages) and takes the scoped one. A miss calls the
-    builders by their names in this module, where the benchmark's tracer
-    counts them. Keyed by value, so equal middles built as distinct
-    objects share a plan; the memo is small because a run reads its plan
-    four times back to back and enumeration moves on to new middles after
-    a few instances.
+    more than d >= 1 preimages) and takes the scoped one, which for an
+    empty level is d identities. So the subprotocol opens identity members
+    at empty levels; the last player never resolves there, since its
+    pointer at level l lies in S_l, and each level still sends d*m opening
+    bits. A miss calls the builders by their names in this module, one
+    per level, where the benchmark's tracer counts them. Keyed by value,
+    so equal middles built as distinct objects share a plan; the memo is
+    small because a run reads its plan four times back to back and
+    enumeration moves on to new middles after a few instances.
     """
     levels = build_sj_chain(middles, d).levels
     covers = (build_d_cover(middles[0], d),) + tuple(

@@ -139,7 +139,9 @@ def _cover(
     return build
 
 
-def _bucketing(plan_of: Callable[[ModuleType, int, int], BucketPlan], name: str) -> ProtocolSpec:
+def _bucketing(
+    plan_of: Callable[[ModuleType, int, int], BucketPlan], name: str, default_k: int
+) -> ProtocolSpec:
     """Bucketing on all-permutation layers; the handle and the bound read
     one plan, computed once."""
 
@@ -152,7 +154,7 @@ def _bucketing(plan_of: Callable[[ModuleType, int, int], BucketPlan], name: str)
             bucketing.bucket_bound(plan), plan,
         )
 
-    return ProtocolSpec(build, default_k=3)
+    return ProtocolSpec(build, default_k)
 
 
 def _target(make: Callable[[ModuleType, Params], ProtocolHandle]) -> ProtocolSpec:
@@ -174,8 +176,13 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     "mpjk-sublinear": ProtocolSpec(
         _cover(lambda jump, P, d, k: jump.mpjk_sublinear(P, d, k)), default_k=4
     ),
-    "bucketing": _bucketing(lambda b, n, k: b.bucket_width_plan(n, k), "bucketing"),
-    "bucketing-doubling": _bucketing(lambda b, n, k: b.doubling_plan(n, k), "bucketing-doubling"),
+    "bucketing": _bucketing(
+        lambda b, n, k: b.bucket_width_plan(n, k), "bucketing", default_k=3
+    ),
+    # doubling widths reach singleton buckets at every n <= MAX_WIDTH from k = 6
+    "bucketing-doubling": _bucketing(
+        lambda b, n, k: b.doubling_plan(n, k), "bucketing-doubling", default_k=6
+    ),
     # deliberately wrong: `constant` (silence, then 0) on a full one-way view
     "broken-const": _target(lambda f, p: replace(
         f.constant_protocol(p.n, p.k), name="broken-const", view_kind=ViewKind.FULL_ONE_WAY

@@ -930,12 +930,23 @@ class TestRegistry:
             with pytest.raises(UnknownProtocolError):
                 build_protocol(name, n=4)
 
-    def test_readme_table_lists_every_registry_name(self):
+    @staticmethod
+    def readme_table_rows():
         text = README.read_text(encoding="utf-8")
         table = text.split("### Protocol names", 1)[1].split("\n\n")[1]
-        rows = table.splitlines()[2:]
+        return table.splitlines()[2:]
+
+    def test_readme_table_lists_every_registry_name(self):
+        rows = self.readme_table_rows()
         names = [n for row in rows for n in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert tuple(names) == BASE_NAMES
+
+    def test_readme_table_shows_each_default_k(self):
+        for row in self.readme_table_rows():
+            _, names, players, *_ = row.split("|")
+            default = re.search(r"default (\d+)", players) or re.fullmatch(r" (\d+) ", players)
+            for name in re.findall(r"`([^`]+)`", names):
+                assert int(default[1]) == registry.PROTOCOLS[name].default_k, name
 
     def test_cost_bounds(self):
         assert cost_bound("index", n=8, k=2, d=None) == 8.0

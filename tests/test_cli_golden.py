@@ -62,6 +62,8 @@ COMMANDS = (
     "attack --protocol broken-const --n 8",
     "verify --protocol broken-const --n 2 --k 5 --exhaustive",
     "bench --protocol broken-const --n 2,4 --k 2 --samples 5",
+    "cover --f 2,2,1 --d 2 --s 1,1",
+    "cover --f 2,2,1 --d 2 --s ''",
 )
 
 

@@ -168,6 +168,29 @@ class TestScopedCovers:
         assert len(cover.perms) == 1
         assert verify_sd_cover(cover, f, (), 1) == (True, None)
 
+    def test_empty_scope_is_d_identities(self):
+        for n in (1, 2, 3):
+            identity = LayerFunction.identity(n)
+            for f in all_functions(n):
+                for d in range(1, n + 2):
+                    cover = build_sd_cover(f, (), d)
+                    assert cover.perms == (identity,) * d
+                    assert (cover.d, cover.target, cover.scope) == (d, f, frozenset())
+                    assert verify_sd_cover(cover, f, (), d) == (True, None)
+
+    @pytest.mark.parametrize(
+        "scope, d, text",
+        [
+            ((), 0, "cover parameter d must be at least 1"),
+            ({4}, 0, "cover parameter d must be at least 1"),
+            ({4}, 1, r"scope point 4 outside \[1, 3\]"),
+            ({0, 2}, 2, r"scope point 0 outside \[1, 3\]"),
+        ],
+    )
+    def test_refusals_precede_the_empty_scope(self, scope, d, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            build_sd_cover(layer(2, 2, 1), scope, d)
+
     def test_scope_points_must_be_in_domain(self):
         with pytest.raises(ValueError):
             build_sd_cover(layer(1, 2), {3}, 1)

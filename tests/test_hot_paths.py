@@ -48,7 +48,7 @@ from mpjlab.covers import (
     verify_d_cover,
     verify_sd_cover,
 )
-from mpjlab import jump, sim
+from mpjlab import covers, jump, sim
 from mpjlab.bucketing import (
     bucket_index,
     bucket_members,
@@ -726,7 +726,9 @@ class TestCoverConstruction:
                 assert plain.perms == ref_d_cover(f, d)
                 assert (plain.d, plain.target, plain.scope) == (d, f, None)
                 scoped = build_sd_cover(f, scope, d)
-                assert scoped.perms == ref_sd_cover(f, scope, d)
+                # an empty scope covers nothing, so it holds d identities
+                expected = ref_sd_cover(f, scope, d) if scope else (LayerFunction.identity(f.n),) * d
+                assert scoped.perms == expected
                 assert (scoped.d, scoped.target, scoped.scope) == (d, f, scope)
 
     def test_full_scope_keeps_its_own_order(self):
@@ -1129,6 +1131,41 @@ class TestOnePlanPerMiddles:
         assert len(built) == runs * (k - 2)
         alive = sum(ref() is not None for ref in built)
         assert alive <= 16 * (k - 2)  # the 16 plans _plan keeps
+
+
+class TestEmptyLevelsBuildNoRotation:
+    def test_a_plan_rotates_its_plain_level_and_its_non_empty_scoped_levels(self, monkeypatch):
+        # the benchmark's sweep-sublinear space, where S_3 and S_4 are always
+        # empty: the scoped cover of an empty level is d identities
+        n, k, d = 16, 6, 2
+        jump._plan.cache_clear()
+        chains, counts = [], {"scoped": 0, "rotations": 0}
+
+        def recorded(fn):
+            def build(*args):
+                chain = fn(*args)
+                chains.append(chain.levels)
+                return chain
+
+            return build
+
+        def counted(key, fn):
+            def build(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return build
+
+        monkeypatch.setattr(jump, "build_sj_chain", recorded(jump.build_sj_chain))
+        monkeypatch.setattr(jump, "build_sd_cover", counted("scoped", jump.build_sd_cover))
+        monkeypatch.setattr(covers, "_cover", counted("rotations", covers._cover))
+        protocol = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        for inst in sample_instances(n, k, Variant.MPJ, count=1000, seed=1):
+            sim.run(protocol, inst)
+        assert counts["scoped"] == (k - 3) * len(chains)
+        # levels[1:-1] are the scoped levels S_2..S_{k-2}
+        expected = sum(1 + sum(1 for scope in levels[1:-1] if scope) for levels in chains)
+        assert counts["rotations"] == expected == 1823
 
 
 # -- bucketing players on ints ----------------------------------------------------

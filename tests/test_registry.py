@@ -14,8 +14,10 @@ import itertools
 
 import pytest
 
-from mpjlab.bucketing import bucket_bound
-from mpjlab.registry import BASE_NAMES, build_protocol, cost_bound
+from mpjlab.bucketing import bucket_bound, doubling_plan
+from mpjlab.core import sample_instances
+from mpjlab.registry import BASE_NAMES, MAX_WIDTH, PROTOCOLS, build_protocol, cost_bound
+from mpjlab.sim import verify
 
 WIDTHS = (2, 4, 8, 16, 100)
 PLAYER_COUNTS = (None, 3, 4, 5, 6)
@@ -26,7 +28,7 @@ DIGESTS = {
     "mpj3-sublinear": "c5e0f02d138c351800f080c87b8213f5a7656f68e5589b5fa639b09af8925466",
     "mpjk-sublinear": "b2be1c1d77f9256a8f60c981c7d7de959ef34385d16220dd750c21d1e82e26d8",
     "bucketing": "fa9524c0f9dffd739c26ae4abd9f872a37ab1daead7d627cc4b8045377ea1eba",
-    "bucketing-doubling": "db8436057e696ae468c59099a437fb57740561bfea2b89006e95bad76338f3a8",
+    "bucketing-doubling": "0727ad7368373d95089c9e05c7db7e6a1a483469c57c674f7b4d3307895c1df6",
     "broken-const": "8dab7cf39eb233bacd8a5ea65276817d7dfda24bda7cc2cc16ceae56004f21d9",
     "constant": "063bf3d5e3ae27af612acda67d3bcc0692e0cfcf2446b6abd8e5527281f29738",
     "truncate<t>": "438064810b426a740b2bf5acd2c00de2df59d7659f937148bbc01609e7eeb557",
@@ -91,3 +93,27 @@ def test_bucketing_bound_is_its_plans_bound(base):
     assert built
     for b in built:
         assert b.bound == bucket_bound(b.bucket_plan)
+
+
+def doubling_builds(n, k):
+    try:
+        doubling_plan(n, k)
+    except ValueError:
+        return False
+    return True
+
+
+def test_doubling_default_k_builds_at_every_width():
+    # and is the smallest k that does: one player fewer fails from n = 257
+    k = PROTOCOLS["bucketing-doubling"].default_k
+    widths = range(1, MAX_WIDTH + 1)
+    assert all(doubling_builds(n, k) for n in widths)
+    assert next(n for n in widths if not doubling_builds(n, k - 1)) == 257
+
+
+@pytest.mark.parametrize("n", [1, 16, 257, MAX_WIDTH])
+def test_doubling_builds_at_its_default_k(n):
+    built = build_protocol("bucketing-doubling", n=n)
+    assert built.handle.k == built.bucket_plan.k == 6
+    insts = sample_instances(n, 6, built.variant, built.perm_mask, count=3, seed=n)
+    assert verify(built.handle, insts).ok
