@@ -207,15 +207,6 @@ def encode_pointer(value: int, n: int) -> Message:
     return Message.from_uint(value - 1, pointer_width(n))
 
 
-def decode_pointer(msg: Message, n: int) -> int:
-    if len(msg) != pointer_width(n):
-        raise ValueError(f"pointer message must be {pointer_width(n)} bits, got {len(msg)}")
-    value = msg.to_uint() + 1
-    if value > n:
-        raise ValueError(f"decoded pointer {value} outside [1, {n}]")
-    return value
-
-
 @dataclass(frozen=True)
 class PlayerView:
     """Everything player j may read, and nothing else.
@@ -343,7 +334,7 @@ def _decode_output(last: Message, n: int, variant: Variant) -> int:
         raise ProtocolContractError(
             f"pointer output message must be {width} bits, got {length}"
         )
-    if value >= n:  # the same refusal as decode_pointer's
+    if value >= n:
         raise ProtocolContractError(f"decoded pointer {value + 1} outside [1, {n}]")
     return value + 1
 

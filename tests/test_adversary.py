@@ -457,6 +457,18 @@ class TestFamilies:
     def test_pinned_messages(self):
         assert {family: pinned_digest(family) for family in PINNED_MESSAGES} == PINNED_MESSAGES
 
+    def test_seeds_default_to_zero(self):
+        inst = MpjInstance(8, 3, 5, (LayerFunction.identity(8),), bits("00110101"))
+
+        def messages(*protocols):
+            return [run(protocol, inst).messages for protocol in protocols]
+
+        parity = messages(parity_protocol(8, 3, 8), parity_protocol(8, 3, 8, seed=0))
+        assert parity[0] == parity[1] != messages(parity_protocol(8, 3, 8, seed=1))[0]
+        family = messages(*collapsing_family(8, 3, 6))
+        assert family == messages(*collapsing_family(8, 3, 6, seed=0))
+        assert family != messages(*collapsing_family(8, 3, 6, seed=1))
+
     def test_names_and_declared_bounds(self):
         assert truncating_protocol(8, 3, 4).name == "truncate4"
         assert parity_protocol(8, 3, 2).name == "parity2"

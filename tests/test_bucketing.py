@@ -151,11 +151,11 @@ class TestBuckets:
             assert bucket_members(3, 8, bucket_index(3, 8, r)) == (r,)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bucket width must be nonnegative$"):
             bucket_index(-1, 4, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^point 5 outside \[1, 4\]$"):
             bucket_index(1, 4, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bucket 3 outside \[1, 2\]$"):
             bucket_members(1, 4, 3)
 
 

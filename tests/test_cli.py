@@ -835,6 +835,18 @@ class TestAttack:
         assert code == 1 and out == ""
         assert err == "error: all 35 message classes are crossing-free\n"
 
+    def test_an_unfooled_target_exits_one(self, capsys, monkeypatch):
+        # the pair replayed as one instance twice: degenerate, so not fooled
+        from mpjlab.adversary import verify_fooling
+
+        monkeypatch.setattr(
+            "mpjlab.cli.verify_fooling", lambda handle, a, b: verify_fooling(handle, a, a)
+        )
+        code, out, err = run_cli(capsys, "attack", "--protocol", "truncate4", "--n", "8")
+        report = json.loads(out)["report"]
+        assert code == 1 and err == ""
+        assert report["degenerate"] is True and report["fooled"] is False
+
 
 class TestSeedEnvironment:
     def test_env_var_sets_default_seed(self, capsys, monkeypatch):

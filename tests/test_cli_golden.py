@@ -64,6 +64,8 @@ COMMANDS = (
     "bench --protocol broken-const --n 2,4 --k 2 --samples 5",
     "cover --f 2,2,1 --d 2 --s 1,1",
     "cover --f 2,2,1 --d 2 --s ''",
+    "attack --protocol truncate62 --n 128 --k 2",
+    "attack --protocol truncate62 --n 128 --k 3",
 )
 
 

@@ -377,6 +377,12 @@ class TestSampling:
             stream = sample_instances(5, 4, variant, mask, count=3, seed=seed)
             assert sample_instance(5, 4, variant, mask, seed=seed) == next(stream)
 
+    def test_the_seed_defaults_to_zero(self):
+        default = sample_instance(5, 4, Variant.MPJ)
+        assert default == sample_instance(5, 4, Variant.MPJ, seed=0)
+        assert default == next(sample_instances(5, 4, Variant.MPJ, count=1))
+        assert default != sample_instance(5, 4, Variant.MPJ, seed=1)
+
     def test_mask_length_follows_the_variant(self):
         # k-2 middle layers for mpj, k-1 layers for mpjhat
         for call in (
