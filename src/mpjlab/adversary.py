@@ -14,6 +14,12 @@ classes take at most c + 1 evaluations, 2^t + 1 for exactly t bits and
 2^(t+1) for at most t. A layer has one complement, so three members of a
 cell cross, and 2c + 1 evaluations suffice at any c.
 
+One evaluation costs the target's message and little else beside it: a
+layer built unchecked, since it is valid by construction; a view whose
+fields are the level's one dict, copied with the layer as its suffix;
+and, for each earlier member of the cell, a crossing test that collects
+the joint patterns into one set in one pass.
+
 The construction walks a collapsing protocol front to back. At each level
 it runs that search on the messages the next player would send, then
 rewrites the pair one layer deeper: the new middle layer sends each old
@@ -33,7 +39,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .core import BitVector, LayerFunction, MpjInstance, Variant, eval_mpj, follow_pointers
+from .core import (
+    BitVector,
+    LayerFunction,
+    MpjInstance,
+    Variant,
+    _new,
+    _setattr,
+    _trusted,
+    eval_mpj,
+    follow_pointers,
+)
 from .sim import Message, PlayerView, ProtocolHandle, ViewKind, call_player, run
 
 
@@ -48,19 +64,25 @@ class CrossingSearchError(RuntimeError):
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def iab_sets(x: BitVector, xp: BitVector) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Positions of each joint pattern: key (a, b) maps to {r : x_r = a, x'_r = b}."""
+def _joint(x: BitVector, xp: BitVector) -> Iterator[tuple[int, int]]:
+    """The joint patterns (x_r, x'_r), in position order, of equal-width layers."""
     if x.n != xp.n:
         raise ValueError("joint patterns need equal widths")
+    return zip(x.bits, xp.bits)
+
+
+def iab_sets(x: BitVector, xp: BitVector) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Positions of each joint pattern: key (a, b) maps to {r : x_r = a, x'_r = b}."""
     out: dict[tuple[int, int], list[int]] = {p: [] for p in PATTERNS}
-    for r, pattern in enumerate(zip(x.bits, xp.bits), start=1):
+    for r, pattern in enumerate(_joint(x, xp), start=1):
         out[pattern].append(r)
     return {p: tuple(v) for p, v in out.items()}
 
 
 def is_crossing(x: BitVector, xp: BitVector) -> bool:
-    """True when all four joint patterns occur."""
-    return all(iab_sets(x, xp).values())
+    """True when all four joint patterns occur: one set of the patterns,
+    built in one C-level pass, without the positions `iab_sets` lists."""
+    return len(set(_joint(x, xp))) == 4
 
 
 @dataclass(frozen=True)
@@ -121,7 +143,8 @@ def _iter_half_weight(n: int) -> Iterator[BitVector]:
     """Weight n/2 bit layers, one at a time, ascending in lexicographic bit order.
 
     Each layer is read off its sorted zero positions; lexicographic order on
-    those tuples is lexicographic order on the bit strings.
+    those tuples is lexicographic order on the bit strings. Every layer is
+    n bits of 0 and 1 by construction, so it is built unchecked.
     """
     if n % 2:
         raise ValueError("half weight needs an even n")
@@ -129,7 +152,7 @@ def _iter_half_weight(n: int) -> Iterator[BitVector]:
         bits = [1] * n
         for r in zeros:
             bits[r] = 0
-        yield BitVector(n, tuple(bits))
+        yield _trusted(BitVector, n, tuple(bits))
 
 
 def half_weight_strings(n: int) -> tuple[BitVector, ...]:
@@ -164,9 +187,9 @@ def find_crossed_cell(
     cells: dict[Message, list[BitVector]] = {}
     for y in _iter_half_weight(n):
         msg = message_fn(y)
-        if len(msg) > t_bound:
+        if msg.length > t_bound:
             raise BoundRefusedError(
-                f"message of {len(msg)} bits exceeds the declared bound {t_bound}"
+                f"message of {msg.length} bits exceeds the declared bound {t_bound}"
             )
         cell = cells.setdefault(msg, [])
         for earlier in cell:
@@ -231,16 +254,26 @@ def build_fooling_inputs(protocol: ProtocolHandle) -> FoolingPair:
     k = protocol.k
 
     def cell_of(j: int, start: int | None, layers, messages) -> tuple[Message, CrossingPair]:
-        """Player j's first crossed cell over the suffixes it may be shown."""
-        walked = None if start is None else follow_pointers(start, layers)  # once per level
-        view = functools.partial(
-            PlayerView, j=j, n=n, k=k, variant=Variant.MPJ, kind=ViewKind.COLLAPSING,
-            messages=messages, start=start, walked=walked, prefix_layers=layers,
-        )
+        """Player j's first crossed cell over the suffixes it may be shown.
+
+        The level's view fields are fixed here, once; each evaluation copies
+        them with its own suffix into a new view's `__dict__` in one
+        assignment, as `sim.make_view` sets a view's fields.
+        """
+        fields = {
+            "j": j, "n": n, "k": k, "variant": Variant.MPJ, "kind": ViewKind.COLLAPSING,
+            "messages": messages, "start": start,
+            "walked": None if start is None else follow_pointers(start, layers),
+            "prefix_layers": layers, "later_layers": None, "final_bits": None, "suffix": None,
+        }
         fn = protocol.players[j - 1]
-        return find_crossed_cell(
-            lambda y: call_player(fn, view(suffix=y)), n, protocol.declared_max_bits[j - 1]
-        )
+
+        def evaluate(y: BitVector) -> Message:
+            view = _new(PlayerView)
+            _setattr(view, "__dict__", dict(fields, suffix=y))
+            return call_player(fn, view)
+
+        return find_crossed_cell(evaluate, n, protocol.declared_max_bits[j - 1])
 
     # after player j: `layers` fixes f_2..f_j, `messages` holds the forced
     # first j messages, and `pair` stands in for everything after layer j

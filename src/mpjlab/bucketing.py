@@ -12,7 +12,7 @@ bucket indices for just those survivors, tagged with an n-bit membership
 indicator. Bit widths grow as iterated logarithms, so the surviving sets
 shrink hyper-exponentially and the last player reads a singleton bucket.
 
-Players read ints they already hold: each width has one checked table of
+Players read ints they already hold: each width has one table of t-bit
 bucket indices by point, and the walk point's index in an announcement
 sits at its rank, the popcount of the indicator bits above it. A handle
 reads its plan once, when it is built: each player's widths and tables
@@ -134,12 +134,9 @@ def doubling_plan(n: int, k: int) -> BucketPlan:
 
 def _bucket_table(t: int, n: int) -> tuple[int | None, ...]:
     """Position v holds bucket_index(t, n, v) - 1 for each point v of [n],
-    checked once to fit in t bits; position 0 is no point."""
-    table = (None, *[bucket_index(t, n, v) - 1 for v in range(1, n + 1)])
-    for index in table[1:]:
-        if not 0 <= index < 1 << t:
-            raise ValueError(f"{index} does not fit in {t} bits")
-    return table
+    which fits in t bits since bucket_index returns 1..2^t; position 0 is
+    no point."""
+    return (None, *[bucket_index(t, n, v) - 1 for v in range(1, n + 1)])
 
 
 def _announcement(msg: Message, n: int, width: int) -> tuple[int, int]:
@@ -201,8 +198,8 @@ def protocol_for_plan(plan: BucketPlan, name: str) -> ProtocolHandle:
     """The bucketing protocol that announces at the widths of `plan`.
 
     The plan is read once, here: each player's closure holds the widths it
-    frames and reads at, and the checked `_bucket_table` of each, built
-    once per handle. Announcers past the terminal player are silent. An
+    frames and reads at, and the `_bucket_table` of each, built once per
+    handle. Announcers past the terminal player are silent. An
     announcement is one int, indicator above index area, framed by one
     `Message.from_uint`, which checks that the whole message fits.
     """

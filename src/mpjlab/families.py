@@ -6,7 +6,9 @@ a seeded hash), which is exactly the regime the fooling-pair construction
 defeats. The final player answers with some fixed deterministic rule; the
 attack never needs to know which. Each family is one `message(j, view)`;
 `_handle` binds j into players 1..k-1 with `functools.partial`, so each
-keeps their own j whatever view they are shown.
+keeps their own j whatever view they are shown. Parity and hash shift
+their t bits, each 0 or 1 by construction, into one int that
+`sim._packed` frames, as the cover players frame theirs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 
 from .adversary import max_message_bits
 from .core import Variant
-from .sim import Message, PlayerView, ProtocolHandle, ViewKind
+from .sim import Message, PlayerView, ProtocolHandle, ViewKind, _packed
 
 
 def _final_bit(view: PlayerView) -> Message:
@@ -69,7 +71,10 @@ def parity_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
 
     def message(j: int, view: PlayerView) -> Message:
         x = Message(view.suffix.bits).value
-        return Message(tuple((mask & x).bit_count() & 1 for mask in masks[j]))
+        out = 0
+        for mask in masks[j]:
+            out = (out << 1) | ((mask & x).bit_count() & 1)
+        return _packed(out, t)
 
     return _handle(f"parity{t}", n, k, t, message)
 
@@ -94,7 +99,10 @@ def hashing_protocol(n: int, k: int, t: int, seed: int = 0) -> ProtocolHandle:
             ]
         )
         digest = hashlib.sha256(material.encode()).digest()
-        return Message(tuple((digest[i // 8] >> (i % 8)) & 1 for i in range(t)))
+        out = 0
+        for i in range(t):
+            out = (out << 1) | ((digest[i // 8] >> (i % 8)) & 1)
+        return _packed(out, t)
 
     return _handle(f"hash{t}", n, k, t, message)
 

@@ -15,8 +15,8 @@ texts, and sha256 digests of their outputs over the same seeded inputs,
 recorded while the references still ran beside the package.
 
 The tests that count layer applications, chain and cover builds,
-rotations, derivations and pattern computations pin the cost of each
-rewrite.
+rotations, derivations, pattern computations and the cell search's
+evaluations and checked builds pin the cost of each rewrite.
 """
 
 import dataclasses
@@ -67,6 +67,7 @@ from mpjlab.cli import main as cli_main
 from mpjlab.registry import build_protocol
 from mpjlab.sim import (
     Message,
+    PlayerView,
     ProtocolInvariantError,
     ViewKind,
     make_view,
@@ -952,10 +953,9 @@ class TestAttackPaths:
         assert calls == [(x, xp)]
         assert CrossingPair(x, xp) == pair
 
-    @pytest.mark.parametrize("name, n, k", [("truncate4", 16, 4), ("hash4", 16, 5), ("parity3", 10, 6)])
-    def test_attack_views_carry_their_walk_point(self, name, n, k):
-        # the adversary builds its own collapsing views; each shows the walk
-        # point its start and prefix layers give, as the runtime's views do
+    @staticmethod
+    def attack_views(name, n, k):
+        """Every view the cell search shows a player of the named target."""
         handle = build_protocol(name, n=n, k=k, seed=1).handle
         seen = []
 
@@ -970,10 +970,61 @@ class TestAttackPaths:
             dataclasses.replace(handle, players=tuple(map(recording, handle.players)))
         )
         assert {view.j for view in seen} == set(range(1, k))
-        for view in seen:
+        return seen
+
+    @pytest.mark.parametrize("name, n, k", [("truncate4", 16, 4), ("hash4", 16, 5), ("parity3", 10, 6)])
+    def test_attack_views_carry_their_walk_point(self, name, n, k):
+        # the adversary builds its own collapsing views; each shows the walk
+        # point its start and prefix layers give, as the runtime's views do
+        for view in self.attack_views(name, n, k):
             assert view.kind is ViewKind.COLLAPSING
             if view.j == 1:
                 assert view.start is None and view.walked is None
             else:
                 assert len(view.prefix_layers) == view.j - 2
                 assert view.walked == follow_pointers(view.start, view.prefix_layers)
+
+    @pytest.mark.parametrize("name, n, k", [("truncate4", 16, 4), ("hash4", 16, 5), ("parity3", 10, 6)])
+    def test_attack_views_carry_exactly_the_view_fields(self, name, n, k):
+        # each view's fields are set as one dict: a field added to PlayerView
+        # and missing from that dict would fail here
+        names = {f.name for f in dataclasses.fields(PlayerView)}
+        for view in self.attack_views(name, n, k):
+            assert vars(view).keys() == names
+            assert view == PlayerView(**vars(view))
+            assert view.later_layers is None and view.final_bits is None
+
+    def test_the_search_builds_no_checked_layer_or_view(self, monkeypatch):
+        # each level's evaluations, recorded while layers and views were
+        # still built checked: unchecked builds stop every search at the
+        # same layer, so the pairs are unchanged too
+        evaluations = {"truncate4": [2, 2, 2], "parity4": [9, 5, 7], "hash4": [3, 3, 10]}
+        checks = []
+        post_init, init = BitVector.__post_init__, PlayerView.__init__
+
+        def checked_bits(self):
+            checks.append("bits")
+            post_init(self)
+
+        def checked_view(self, *args, **kwargs):
+            checks.append("view")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BitVector, "__post_init__", checked_bits)
+        monkeypatch.setattr(PlayerView, "__init__", checked_view)
+        for name, counts in evaluations.items():
+            handle = build_protocol(name, n=16, k=4, seed=1).handle
+            per_level = [0] * (handle.k - 1)
+
+            def counting(fn):
+                def player(view):
+                    per_level[view.j - 1] += 1
+                    return fn(view)
+
+                return player
+
+            build_fooling_inputs(
+                dataclasses.replace(handle, players=tuple(map(counting, handle.players)))
+            )
+            assert per_level == counts, name
+        assert checks == []
