@@ -29,7 +29,6 @@ from .core import (
     eval_instance,
     instance_from_dict,
     instance_to_dict,
-    sample_instance,
     sample_instances,
 )
 from .registry import (
@@ -113,57 +112,51 @@ def _build(args: argparse.Namespace, n: int) -> BuiltProtocol:
     return build_protocol(args.protocol, n=n, k=args.k, d=args.d, seed=args.seed)
 
 
-def _check(
-    args: argparse.Namespace, n: int, built: BuiltProtocol
-) -> tuple[VerifyReport, float | None, bool | None]:
-    """Verify `built` at width n against brute force, on every instance under
-    --exhaustive, else on --samples seeded ones, and hold its worst prefix
-    cost to the cost bound: (report, bound, bound_ok), bound_ok None when the
-    protocol has no bound."""
-    handle = built.handle
-    space = (n, handle.k, built.variant, built.perm_mask)
-    if getattr(args, "exhaustive", False):  # bench and emit-plot-data only sample
-        instances = enumerate_instances(*space, budget=args.budget)
-    else:
-        instances = sample_instances(*space, count=args.samples, seed=args.seed)
-    report = verify(handle, instances)
-    bound = built.bound
-    return report, bound, None if bound is None else report.worst_prefix_cost <= bound
-
-
-def _check_mask(built: BuiltProtocol, inst: Instance) -> None:
-    """Refuse an instance layer that the protocol's permutation mask requires
-    to be a permutation and that is not one. A wrong variant or k is left to
-    `run`, which names it."""
-    mask = built.perm_mask
-    if mask is None or inst.variant is not built.variant or inst.k != built.handle.k:
-        return
-    for j, (f, need_perm) in enumerate(zip(inst.layers, mask), start=2):
-        if need_perm and not f.is_permutation:
-            raise ValueError(
-                f"instance layer f_{j} is not a permutation; "
-                f"{built.handle.name} takes permutation layers only"
-            )
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    built = _build(args, args.n)
-    if args.emit_buckets and built.bucket_plan is None:
-        raise ValueError("--emit-buckets only applies to the bucketing protocols")
-    if args.instance is not None:
+def _instances(args: argparse.Namespace, n: int, built: BuiltProtocol) -> Iterable[Instance]:
+    """The one source of a command's instances at width n: `run --instance`'s
+    file, checked for width and for the protocol's permutation mask; every
+    instance under --exhaustive; else --samples seeded ones (one for `run`).
+    A file's k or variant that differs is left to `run`, which names it."""
+    if getattr(args, "instance", None) is not None:
         with open(args.instance, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except RecursionError:
                 raise ValueError("instance JSON is nested too deeply") from None
         inst = instance_from_dict(doc)
-        if inst.n != args.n:
-            raise ValueError(f"instance width {inst.n} does not match --n {args.n}")
-        _check_mask(built, inst)
-    else:
-        inst = sample_instance(
-            args.n, built.handle.k, built.variant, built.perm_mask, seed=args.seed
-        )
+        if inst.n != n:
+            raise ValueError(f"instance width {inst.n} does not match --n {n}")
+        mask = built.perm_mask
+        if mask is not None and inst.variant is built.variant and inst.k == built.handle.k:
+            for j, (f, need_perm) in enumerate(zip(inst.layers, mask), start=2):
+                if need_perm and not f.is_permutation:
+                    raise ValueError(
+                        f"instance layer f_{j} is not a permutation; "
+                        f"{built.handle.name} takes permutation layers only"
+                    )
+        return (inst,)
+    space = (n, built.handle.k, built.variant, built.perm_mask)
+    if getattr(args, "exhaustive", False):  # only verify takes --exhaustive
+        return enumerate_instances(*space, budget=args.budget)
+    return sample_instances(*space, count=getattr(args, "samples", 1), seed=args.seed)
+
+
+def _check(
+    args: argparse.Namespace, n: int, built: BuiltProtocol
+) -> tuple[VerifyReport, float | None, bool | None]:
+    """Verify `built` at width n against brute force on `_instances`, and
+    hold its worst prefix cost to the cost bound: (report, bound, bound_ok),
+    bound_ok None when the protocol has no bound."""
+    report = verify(built.handle, _instances(args, n, built))
+    bound = built.bound
+    return report, bound, None if bound is None else report.worst_prefix_cost <= bound
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    built = _build(args, args.n)
+    if args.emit_buckets and built.bucket_plan is None:
+        raise ValueError("--emit-buckets only applies to the bucketing protocols")
+    (inst,) = _instances(args, args.n, built)
     transcript = run(built.handle, inst)
     expected = eval_instance(inst)
     payload = {
@@ -220,7 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ]
         if bound is not None:
             verdict = "within" if bound_ok else "OVER"
-            lines.append(f"cost bound {bound:g}: {verdict}")
+            shown = int(bound) if float(bound).is_integer() else bound
+            lines.append(f"cost bound {shown}: {verdict}")
         if report.failures:  # `first` is set above, with the payload's first_failure
             got = "no output" if first.got is None else f"got {first.got}"
             error = "" if first.error is None else f" ({first.error})"

@@ -429,18 +429,6 @@ def enumerate_instances(
     return stream()
 
 
-def sample_instance(
-    n: int,
-    k: int,
-    variant: Variant,
-    perm_mask: Sequence[bool] | None = None,
-    *,
-    seed: int = 0,
-) -> Instance:
-    """Draw one uniform instance; a pure function of the seed."""
-    return next(sample_instances(n, k, variant, perm_mask, count=1, seed=seed))
-
-
 def sample_instances(
     n: int,
     k: int,

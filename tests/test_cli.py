@@ -106,6 +106,31 @@ class TestRun:
             f"layers only\n"
         )
 
+    @pytest.mark.parametrize(
+        "protocol, k, doc, text",
+        [
+            ("index", "2",
+             {"n": 4, "k": 3, "variant": "mpj", "i": 1, "layers": [[1, 2, 3, 4]], "x": "0101"},
+             "protocol expects k=2, instance has k=3"),
+            ("index", "2",
+             {"n": 4, "k": 2, "variant": "mpjhat", "i": 1, "layers": [[1, 2, 3, 4]]},
+             "protocol expects variant mpj, instance is mpjhat"),
+            # the k is named even though f_2 is outside bucketing's mask
+            ("bucketing", "3",
+             {"n": 4, "k": 4, "variant": "mpjhat", "i": 1,
+              "layers": [[3, 3, 2, 1], [1, 2, 3, 4], [1, 2, 3, 4]]},
+             "protocol expects k=3, instance has k=4"),
+        ],
+        ids=["index-k", "index-variant", "bucketing-k-before-mask"],
+    )
+    def test_instance_of_another_k_or_variant(self, capsys, tmp_path, protocol, k, doc, text):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "run", "--protocol", protocol, "--n", "4", "--k", k, "--instance", str(path)
+        )
+        assert (code, out, err) == (2, "", f"error: {text}\n")
+
     def test_bucket_debug_payload(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--protocol", "bucketing", "--n", "8", "--k", "4",
@@ -130,7 +155,7 @@ class TestRun:
         def ran(*args, **kwargs):
             raise AssertionError("sampled or ran before refusing --emit-buckets")
 
-        monkeypatch.setattr("mpjlab.cli.sample_instance", ran)
+        monkeypatch.setattr("mpjlab.cli.sample_instances", ran)
         monkeypatch.setattr("mpjlab.cli.run", ran)
         code, out, err = run_cli(
             capsys, "run", "--protocol", "constant", "--n", "4", "--k", "3", "--emit-buckets"
@@ -634,8 +659,7 @@ def nothing_built(monkeypatch):
             registry.PROTOCOLS, name,
             dataclasses.replace(spec, build=built),
         )
-    for name in ("sample_instance", "sample_instances", "enumerate_instances",
-                 "build_fooling_inputs"):
+    for name in ("sample_instances", "enumerate_instances", "build_fooling_inputs"):
         monkeypatch.setattr(f"mpjlab.cli.{name}", built)
 
 

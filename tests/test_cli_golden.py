@@ -66,6 +66,7 @@ COMMANDS = (
     "cover --f 2,2,1 --d 2 --s ''",
     "attack --protocol truncate62 --n 128 --k 2",
     "attack --protocol truncate62 --n 128 --k 3",
+    "verify --protocol mpjk-sublinear --n 1024 --k 3 --d 512 --samples 1 --seed 0",
 )
 
 

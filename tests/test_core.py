@@ -31,7 +31,6 @@ from mpjlab.core import (
     instance_count,
     instance_from_dict,
     instance_to_dict,
-    sample_instance,
     sample_instances,
 )
 from mpjlab.sim import ViewKind, make_view
@@ -353,14 +352,17 @@ class TestGeneratedInstancesMatchCheckedOnes:
             assert_same_object(inst, rebuilt(inst))
 
 
+def first(n, k, variant, mask=None, *, seed):
+    """The first instance of a seeded stream."""
+    return next(sample_instances(n, k, variant, mask, count=1, seed=seed))
+
+
 class TestSampling:
     def test_same_seed_same_instance(self):
-        a = sample_instance(8, 4, Variant.MPJ, seed=123)
-        b = sample_instance(8, 4, Variant.MPJ, seed=123)
-        assert a == b
+        assert first(8, 4, Variant.MPJ, seed=123) == first(8, 4, Variant.MPJ, seed=123)
 
     def test_seeds_rarely_collide(self):
-        drawn = {sample_instance(8, 3, Variant.MPJ, seed=s) for s in range(100)}
+        drawn = {first(8, 3, Variant.MPJ, seed=s) for s in range(100)}
         assert len(drawn) == 100
 
     def test_stream_is_deterministic(self):
@@ -368,44 +370,32 @@ class TestSampling:
         b = list(sample_instances(6, 3, Variant.MPJ, count=20, seed=5))
         assert a == b
 
-    @pytest.mark.parametrize(
-        "variant, mask",
-        [(Variant.MPJ, None), (Variant.MPJ_HAT, None), (Variant.MPJ_HAT, (True,) * 3)],
-    )
-    def test_one_draw_is_the_first_of_the_stream(self, variant, mask):
-        for seed in range(20):
-            stream = sample_instances(5, 4, variant, mask, count=3, seed=seed)
-            assert sample_instance(5, 4, variant, mask, seed=seed) == next(stream)
-
     def test_the_seed_defaults_to_zero(self):
-        default = sample_instance(5, 4, Variant.MPJ)
-        assert default == sample_instance(5, 4, Variant.MPJ, seed=0)
-        assert default == next(sample_instances(5, 4, Variant.MPJ, count=1))
-        assert default != sample_instance(5, 4, Variant.MPJ, seed=1)
+        default = next(sample_instances(5, 4, Variant.MPJ, count=1))
+        assert default == first(5, 4, Variant.MPJ, seed=0)
+        assert default != first(5, 4, Variant.MPJ, seed=1)
 
     def test_mask_length_follows_the_variant(self):
         # k-2 middle layers for mpj, k-1 layers for mpjhat
         for call in (
-            lambda mask: sample_instance(5, 4, Variant.MPJ, mask),
+            lambda mask: sample_instances(5, 4, Variant.MPJ, mask, count=1),
             lambda mask: list(enumerate_instances(2, 4, Variant.MPJ, mask)),
             lambda mask: instance_count(5, 4, Variant.MPJ, mask),
         ):
             call((False, False))
             with pytest.raises(ValueError, match="must have 2 entries, got 3"):
                 call((False,) * 3)
-        sample_instance(5, 4, Variant.MPJ_HAT, (False,) * 3)
+        sample_instances(5, 4, Variant.MPJ_HAT, (False,) * 3, count=1)
         with pytest.raises(ValueError, match="must have 3 entries, got 2"):
-            sample_instance(5, 4, Variant.MPJ_HAT, (False,) * 2)
+            sample_instances(5, 4, Variant.MPJ_HAT, (False,) * 2, count=1)
 
     def test_negative_seed_is_refused(self):
         # Random seeds with |seed|, so -3 would repeat seed 3's stream
         with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
             sample_instances(4, 3, Variant.MPJ, count=1, seed=-3)
-        with pytest.raises(ValueError):
-            sample_instance(4, 3, Variant.MPJ, seed=-1)
 
     def test_mask_produces_permutations(self):
-        inst = sample_instance(16, 4, Variant.MPJ_HAT, (True,) * 3, seed=9)
+        inst = first(16, 4, Variant.MPJ_HAT, (True,) * 3, seed=9)
         assert all(f.is_permutation for f in inst.layers)
         assert inst.perm_mask == (True, True, True)
 
@@ -421,8 +411,6 @@ M, H = Variant.MPJ, Variant.MPJ_HAT
 REFUSALS = [
     ("sample, negative seed", lambda: sample_instances(4, 3, M, count=1, seed=-3),
      ValueError, "seed must be at least 0, got -3"),
-    ("sample one, negative seed", lambda: sample_instance(4, 3, M, seed=-1),
-     ValueError, "seed must be at least 0, got -1"),
     ("sample mpj, mask too long", lambda: sample_instances(5, 4, M, (False,) * 3, count=1),
      ValueError, "perm_mask must have 2 entries, got 3"),
     ("sample mpjhat, mask too short", lambda: sample_instances(5, 4, H, (False,) * 2, count=1),

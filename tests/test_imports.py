@@ -43,11 +43,11 @@ def test_only_the_hash_target_loads_hashlib():
 import sys
 import mpjlab.cli
 print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
-from mpjlab.core import Variant, sample_instance
+from mpjlab.core import Variant, sample_instances
 from mpjlab.registry import build_protocol
 from mpjlab.sim import run
 built = build_protocol("hash4", n=8, k=3)
-inst = sample_instance(8, 3, Variant.MPJ, seed=1)
+inst = next(sample_instances(8, 3, Variant.MPJ, count=1, seed=1))
 print(run(built.handle, inst).per_player_bits)
 """
     assert fresh(code) == "[]\n(4, 4, 1)\n"
