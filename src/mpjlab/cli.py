@@ -218,9 +218,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if report.failures:  # `first` is set above, with the payload's first_failure
             got = "no output" if first.got is None else f"got {first.got}"
             error = "" if first.error is None else f" ({first.error})"
+            seed = "" if built.seed is None else f" --seed {built.seed}"
             lines.append(
                 f"first failure: expected {first.expected}, {got}{error}; "
-                f"instance JSON for run --instance:"
+                f"instance JSON for run --instance{seed}:"
             )
             lines.append(json.dumps(payload["first_failure"]["instance"], sort_keys=True))
         _emit("\n".join(lines) + "\n", args.output)

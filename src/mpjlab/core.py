@@ -11,7 +11,11 @@ Conventions shared across the package:
 * The textual form of a bit layer lists position 1 first: "0101" means
   x_1 = 0, x_2 = 1, x_3 = 0, x_4 = 1.
 * Every value type is immutable and hashable, so instances can be cached,
-  deduplicated, and compared structurally.
+  deduplicated, and compared structurally. Each public constructor
+  (`LayerFunction`, `BitVector`, `MpjInstance`, `MpjHatInstance`) checks
+  its input and stores canonical values: tuples, plain-int points and
+  start pointers, bits 0 and 1, a mask of bools. The trusted builders
+  (`_trusted`, `_built`) take parts that are canonical by construction.
 * Enumeration order is lexicographic over (i, f_2, ..., f_{k-1}, x) and
   sampling is a pure function of the seed, so fixtures are reproducible.
 """
@@ -23,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 
 class Variant(Enum):
@@ -99,24 +103,18 @@ def _built(cls, *fields):
     return obj
 
 
-_BIT_VALUES = frozenset((0, 1))
 _BITS_TO_01 = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _are_bits(bits: Sequence[int]) -> bool:
-    """True when every element is 0 or 1, compared as `b in (0, 1)` compares.
-
-    The hashed subset test answers a plain tuple of hashable elements in one
-    C call (True and 1.0 hash and compare equal to 1, as `in` finds them);
-    anything else, e.g. an unhashable element, goes to the element loop.
-    """
-    if type(bits) is tuple:
-        try:
-            if _BIT_VALUES.issuperset(bits):
-                return True
-        except TypeError:  # an unhashable element: the loop decides
-            pass
-    return all(b in (0, 1) for b in bits)
+def _bits(bits: Iterable, refused: str) -> tuple[int, ...]:
+    """The one bit rule for public constructors: every element must be 0 or
+    1 as `b in (0, 1)` judges it (True, 1.0 and an IntEnum member pass; 2,
+    "1" and None do not), else ValueError(refused). Returns the plain ints
+    the elements equal."""
+    bits = tuple(bits)
+    if not all(b in (0, 1) for b in bits):
+        raise ValueError(refused)
+    return tuple([1 if b == 1 else 0 for b in bits])
 
 
 @dataclass(frozen=True)
@@ -134,6 +132,7 @@ class LayerFunction:
         if not _are_points(self.n, self.values):
             for v in self.values:
                 _check_point(self.n, v, "layer value")
+            _setattr(self, "values", tuple(map(int, self.values)))
 
     @classmethod
     def identity(cls, n: int) -> "LayerFunction":
@@ -180,8 +179,7 @@ class BitVector:
             raise ValueError(f"n must be positive, got {self.n}")
         if len(self.bits) != self.n:
             raise ValueError(f"expected {self.n} bits, got {len(self.bits)}")
-        if not _are_bits(self.bits):
-            raise ValueError("bits must be 0 or 1")
+        _setattr(self, "bits", _bits(self.bits, "bits must be 0 or 1"))
 
     @classmethod
     def from01(cls, text: str) -> "BitVector":
@@ -190,15 +188,7 @@ class BitVector:
         return cls(len(text), tuple(int(c) for c in text))
 
     def to01(self) -> str:
-        """The bits as "0"/"1" characters, each read as `b == 1` reads it.
-
-        Accepted bits need not be ints (True and 1.0 pass validation), so
-        bytes() may refuse them; the element loop then spells each one.
-        """
-        try:
-            return bytes(self.bits).translate(_BITS_TO_01).decode()
-        except (TypeError, ValueError):
-            return "".join("1" if b == 1 else "0" for b in self.bits)
+        return bytes(self.bits).translate(_BITS_TO_01).decode()
 
     def __call__(self, r: int) -> int:
         if not (type(r) is int and 0 < r <= self.n):
@@ -259,17 +249,21 @@ def bit_suffixes(x: BitVector, layers: Sequence[LayerFunction]) -> tuple[BitVect
     return tuple(out)
 
 
-def _check_chain(inst, layers: Sequence[LayerFunction], count: int, what: str) -> None:
+def _check_chain(inst, field: str, count: int, what: str) -> None:
     """The checks both instance kinds share: k, the start pointer, then
-    `count` function layers (each a `what` in error text) of width n."""
+    `count` function layers in `field` (each a `what` in error text) of
+    width n. The layers are then stored as a tuple, the start as an int."""
     if inst.k < 2:
         raise ValueError(f"k must be at least 2, got {inst.k}")
     _check_point(inst.n, inst.i, "start pointer")
+    layers = getattr(inst, field)
     if len(layers) != count:
         raise ValueError(f"expected {count} {what}s for k={inst.k}, got {len(layers)}")
     for f in layers:
         if f.n != inst.n:
             raise ValueError(f"{what} width differs from n")
+    _setattr(inst, field, tuple(layers))
+    _setattr(inst, "i", int(inst.i))
 
 
 @dataclass(frozen=True)
@@ -284,7 +278,7 @@ class MpjInstance:
     x: BitVector
 
     def __post_init__(self):
-        _check_chain(self, self.middles, self.k - 2, "middle layer")
+        _check_chain(self, "middles", self.k - 2, "middle layer")
         if self.x.n != self.n:
             raise ValueError("bit layer width differs from n")
 
@@ -305,11 +299,11 @@ class MpjHatInstance:
     perm_mask: tuple[bool, ...] = ()
 
     def __post_init__(self):
-        _check_chain(self, self.layers, self.k - 1, "layer")
-        if not self.perm_mask:
-            object.__setattr__(self, "perm_mask", (False,) * (self.k - 1))
-        if len(self.perm_mask) != self.k - 1:
+        _check_chain(self, "layers", self.k - 1, "layer")
+        mask = self.perm_mask or (False,) * (self.k - 1)
+        if len(mask) != self.k - 1:
             raise ValueError("perm_mask length must match the layer count")
+        _setattr(self, "perm_mask", tuple(map(bool, mask)))
         for f, need_perm in zip(self.layers, self.perm_mask):
             if need_perm and not f.is_permutation:
                 raise ValueError("layer flagged as permutation is not one")
@@ -537,4 +531,4 @@ def instance_from_dict(d: dict) -> Instance:
     mask = d.get("perm_mask", [])
     if not isinstance(mask, list) or not all(isinstance(b, bool) for b in mask):
         raise ValueError(f"instance field 'perm_mask' must be a list of booleans, got {mask!r}")
-    return MpjHatInstance(n, k, i, layers, tuple(mask))
+    return MpjHatInstance(n, k, i, layers, mask)

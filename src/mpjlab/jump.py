@@ -233,8 +233,8 @@ def mpjk_sublinear(P: PermProtocol3, d: int, k: int) -> ProtocolHandle:
                     raise ProtocolContractError(f"alpha produced {len(a)} bits, expected {m}")
                 packed = (packed << m) | a.value
                 length += m
-        for s in last:  # the checked bits, read as Message reads them
-            packed = (packed << 1) | (x.bits[s - 1] == 1)
+        for s in last:
+            packed = (packed << 1) | x.bits[s - 1]
         return _packed(packed, length + len(last))
 
     def replies_for(j: int) -> Callable[[PlayerView], Message]:

@@ -4,12 +4,12 @@ The registry maps CLI protocol names to one table entry each: a build
 function, the default player count, and whether that count is fixed. A
 build function computes everything its name builds in one pass and returns
 a `BuiltProtocol`: the handle, the instance space it is verified against
-(permutation-layer mask), the matching cost bound and, for the bucketing
-protocols, the bucket plan that both the handle and the bound come from.
-`BuiltProtocol.variant` is the handle's. The cover protocols' bound
-2(k-2)dm + n/d^(k-2) reads m from the subprotocol they are built on.
-Parametrized attack targets are spelled with their width in the name:
-truncate4, parity3, hash2.
+(permutation-layer mask), the matching cost bound, the bucket plan that
+both the handle and the bound come from (bucketing), and the seed the
+handle is built from (the seeded targets). `BuiltProtocol.variant` is
+the handle's. The cover protocols' bound 2(k-2)dm + n/d^(k-2) reads m
+from the subprotocol they are built on. Parametrized attack targets are
+spelled with their width in the name: truncate4, parity3, hash2.
 
 This module imports only `core` and `sim`. Each build function imports its
 protocol family when it first runs: `jump` (which loads `covers`) for index
@@ -57,6 +57,7 @@ class BuiltProtocol:
     perm_mask: tuple[bool, ...] | None = None  # None: unrestricted layer space
     bound: float | None = None  # cost before the output message; None: no formula
     bucket_plan: BucketPlan | None = None
+    seed: int | None = None  # the seed the handle was built from; None: unseeded
 
     @property
     def variant(self) -> Variant:
@@ -157,13 +158,16 @@ def _bucketing(
     return ProtocolSpec(build, default_k)
 
 
-def _target(make: Callable[[ModuleType, Params], ProtocolHandle]) -> ProtocolSpec:
-    """A `families` protocol with no bound, three players by default."""
+def _target(
+    make: Callable[[ModuleType, Params], ProtocolHandle], seeded: bool = False
+) -> ProtocolSpec:
+    """A `families` protocol with no bound, three players by default; a
+    seeded one records the seed it was built from."""
 
     def build(p: Params) -> BuiltProtocol:
         from . import families
 
-        return BuiltProtocol(make(families, p))
+        return BuiltProtocol(make(families, p), seed=p.seed if seeded else None)
 
     return ProtocolSpec(build, default_k=3)
 
@@ -189,8 +193,8 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
     )),
     "constant": _target(lambda f, p: f.constant_protocol(p.n, p.k)),
     "truncate<t>": _target(lambda f, p: f.truncating_protocol(p.n, p.k, p.t)),
-    "parity<t>": _target(lambda f, p: f.parity_protocol(p.n, p.k, p.t, seed=p.seed)),
-    "hash<t>": _target(lambda f, p: f.hashing_protocol(p.n, p.k, p.t, seed=p.seed)),
+    "parity<t>": _target(lambda f, p: f.parity_protocol(p.n, p.k, p.t, seed=p.seed), True),
+    "hash<t>": _target(lambda f, p: f.hashing_protocol(p.n, p.k, p.t, seed=p.seed), True),
 }
 
 BASE_NAMES = tuple(PROTOCOLS)

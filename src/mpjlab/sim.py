@@ -39,7 +39,7 @@ from .core import (
     LayerFunction,
     MpjInstance,
     Variant,
-    _are_bits,
+    _bits,
     _BITS_TO_01,
     _new,
     _setattr,
@@ -63,6 +63,7 @@ class ProtocolInvariantError(RuntimeError):
 
 
 _01_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_VALUES = frozenset((0, 1))
 
 
 class Message:
@@ -78,18 +79,14 @@ class Message:
     __slots__ = ("value", "length")
 
     def __init__(self, bits: Iterable[int] = ()):
-        if type(bits) is not tuple:
-            bits = tuple(bits)
-        if not _are_bits(bits):
-            raise ValueError("message bits must be 0 or 1")
-        try:
-            value = int(bytes(bits).translate(_BITS_TO_01), 2) if bits else 0
-        except (TypeError, ValueError):  # e.g. 1.0 or an unhashable zero
-            value = 0
-            for b in bits:
-                value = (value << 1) | (b == 1)
-        _setattr(self, "value", value)
-        _setattr(self, "length", len(bits))
+        try:  # a tuple of 0/1 ints: one hashed set test and one bytes() pass, in C
+            packed = type(bits) is tuple and _BIT_VALUES.issuperset(bits) and bytes(bits)
+        except TypeError:  # an unhashable element, or one bytes() refuses (1.0)
+            packed = False
+        if packed is False:  # anything else: `core`'s bit rule judges and reads it
+            packed = bytes(_bits(bits, "message bits must be 0 or 1"))
+        _setattr(self, "value", int(packed.translate(_BITS_TO_01), 2) if packed else 0)
+        _setattr(self, "length", len(packed))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

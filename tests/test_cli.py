@@ -369,6 +369,28 @@ class TestVerify:
         assert instance_from_dict(replay["instance"]) == inst
         assert replay["correct"] is False and replay["expected"] == 1
 
+    def test_a_seeded_target_s_failure_hint_names_its_seed(self, capsys, tmp_path):
+        # hash3 is built from --seed, so the failing instance replays as a
+        # failure only with the seed the hint names
+        code, out, _ = run_cli(
+            capsys, "verify", "--protocol", "hash3", "--n", "8", "--k", "4",
+            "--samples", "20", "--seed", "2",
+        )
+        assert code == 1
+        *_, label, line = out.splitlines()
+        assert label.endswith("; instance JSON for run --instance --seed 2:")
+        path = tmp_path / "first.json"
+        path.write_text(line + "\n")
+        replay = ["run", "--protocol", "hash3", "--n", "8", "--k", "4", "--instance", str(path)]
+        for seed, correct in ((["--seed", "2"], False), ([], True)):
+            code, out, _ = run_cli(capsys, *replay, *seed)
+            assert code == 0 and json.loads(out)["correct"] is correct
+
+    def test_only_seeded_builds_carry_their_seed(self):
+        for name, seed in (("hash3", 4), ("parity3", 4), ("truncate3", None),
+                           ("broken-const", None), ("mpjk-sublinear", None)):
+            assert build_protocol(name, n=8, k=4, seed=4).seed == seed
+
     def test_sublinear_with_cover_parameter(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--protocol", "mpj3-sublinear", "--n", "3", "--d", "2",

@@ -67,6 +67,7 @@ COMMANDS = (
     "attack --protocol truncate62 --n 128 --k 2",
     "attack --protocol truncate62 --n 128 --k 3",
     "verify --protocol mpjk-sublinear --n 1024 --k 3 --d 512 --samples 1 --seed 0",
+    "verify --protocol hash3 --n 8 --k 4 --samples 20 --seed 2",
 )
 
 

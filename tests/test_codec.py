@@ -10,13 +10,13 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal
-from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from odd_values import Bit, EqualsOneHashedElsewhere, UnhashableZero, outcome
 
 from mpjlab.sim import Message
 
@@ -95,21 +95,13 @@ def seen(value):
     return value
 
 
-def outcome(fn, *args):
-    """What a call does: ("ok", result) or (exception type name, message)."""
-    try:
-        return ("ok", seen(fn(*args)))
-    except Exception as exc:  # noqa: BLE001 - the exception is the observation
-        return (type(exc).__name__, str(exc))
-
-
 def same(op, *args):
     """Run one codec operation on both classes; args that are bit tuples
     become a message of each class first."""
     outcomes = []
     for cls in (Message, RefMessage):
         converted = [cls(a) if isinstance(a, Bits) else a for a in args]
-        outcomes.append(outcome(lambda *a: op(cls, *a), *converted))
+        outcomes.append(outcome(lambda *a: seen(op(cls, *a)), *converted))
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
 
@@ -184,30 +176,6 @@ class TestCodecMatchesReference:
 
 
 # -- the packed form -----------------------------------------------------------
-
-
-class Bit(IntEnum):
-    ZERO = 0
-    ONE = 1
-
-
-class EqualsOneHashedElsewhere:
-    """Equal to 1 but hashed apart from it: `in (0, 1)` finds it, a set does not."""
-
-    def __eq__(self, other):
-        return other == 1
-
-    def __hash__(self):
-        return 12345
-
-
-class UnhashableZero:
-    """Equal to 0 and unhashable."""
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        return other == 0
 
 
 class TestPackedForm:

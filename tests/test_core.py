@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from odd_values import Bit
 
 from mpjlab.core import (
     BitVector,
@@ -498,6 +499,16 @@ class TestJsonForms:
         assert "x" not in d
         assert instance_from_dict(d) == inst
 
+    def test_hat_round_trip_of_an_int_mask(self):
+        # a mask of ints is stored as bools, so its JSON form parses back
+        p = layer(2, 1)
+        inst = MpjHatInstance(2, 3, 1, (p, p), (1, 1))
+        assert inst.perm_mask == (True, True)
+        assert all(type(b) is bool for b in inst.perm_mask)
+        d = instance_to_dict(inst)
+        assert d["perm_mask"] == [True, True]
+        assert instance_from_dict(json.loads(json.dumps(d))) == inst
+
     def test_round_trip_everything_small(self):
         for inst in enumerate_instances(2, 3, Variant.MPJ):
             assert instance_from_dict(instance_to_dict(inst)) == inst
@@ -562,6 +573,17 @@ class TestValidation:
             MpjHatInstance(3, 2, 1, (layer(1, 2),))
         with pytest.raises(ValueError, match="perm_mask length must match"):
             MpjHatInstance(3, 2, 1, (layer(1, 2, 3),), (True, False))
+
+    def test_parts_are_stored_canonically(self):
+        # an int-kind start pointer is stored as an int, listed layers as a
+        # tuple, and an omitted mask as one False per layer
+        inst = MpjInstance(3, 3, Bit.ONE, [layer(1, 2, 3)], bits("010"))
+        assert type(inst.i) is int and inst.i == 1 and type(inst.middles) is tuple
+        hat = MpjHatInstance(3, 3, Bit.ONE, [layer(1, 2, 3), layer(2, 2, 2)])
+        assert type(hat.i) is int and type(hat.layers) is tuple
+        assert hat.perm_mask == (False, False) and hash(hat) == hash(MpjHatInstance(
+            3, 3, 1, (layer(1, 2, 3), layer(2, 2, 2)), (False, False)
+        ))
 
     def test_chain_of_mixed_widths(self):
         with pytest.raises(ValueError, match="share one width"):

@@ -32,6 +32,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from odd_values import Bit, EqualsOneHashedElsewhere, UnhashableZero, outcome
 
 from mpjlab import core
 from mpjlab.core import (
@@ -148,14 +149,6 @@ def built(cls, *args):
     cls(*args)
 
 
-def outcome(fn, *args):
-    """What a call does: ("ok", result) or (exception type name, message)."""
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # noqa: BLE001 - the exception is the observation
-        return (type(exc).__name__, str(exc))
-
-
 def digest_of(lines):
     """sha256 over the reprs of `lines`, one per line."""
     h = hashlib.sha256()
@@ -175,36 +168,6 @@ class Point(IntEnum):
 
 class Ordinal(int):
     """A plain int subclass: the fast test misses it, the per-value rule takes it."""
-
-
-class Bit(IntEnum):
-    ZERO = 0
-    ONE = 1
-
-
-class EqualsOneHashedElsewhere:
-    """Equal to 1 but hashed apart from it: `in (0, 1)` finds it, a set does not."""
-
-    def __eq__(self, other):
-        return other == 1
-
-    def __hash__(self):
-        return 12345
-
-    def __repr__(self):
-        return "EqualsOneHashedElsewhere()"
-
-
-class UnhashableZero:
-    """Equal to 0 and unhashable."""
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        return other == 0
-
-    def __repr__(self):
-        return "UnhashableZero()"
 
 
 # Whether a value passes as a point of [3], as the per-value loops judged
@@ -241,13 +204,24 @@ class TestValidation:
     @pytest.mark.parametrize("bit, reads", BIT_VALUES, ids=repr)
     def test_bit_values_are_judged_as_recorded(self, bit, reads):
         if reads is None:
-            assert outcome(built, BitVector, 2, (0, bit)) == ("ValueError", "bits must be 0 or 1")
-            assert outcome(built, Message, (0, bit)) == ("ValueError", "message bits must be 0 or 1")
+            for bits in ((0, bit), [0, bit]):
+                assert outcome(built, BitVector, 2, bits) == ("ValueError", "bits must be 0 or 1")
+                assert outcome(built, Message, bits) == ("ValueError", "message bits must be 0 or 1")
             return
         x = BitVector(2, (0, bit))
         assert x.bits == (0, int(reads))  # what the joint patterns read
         assert x.to01() == "0" + reads and BitVector.from01(x.to01()) == x
         assert Message((0, bit)) == Message.from01("0" + reads)
+        # stored as the plain int it equals, from a tuple or a list, so
+        # every reader gets 0 or 1 and the value is hashable
+        assert all(type(b) is int for b in x.bits)
+        assert BitVector(2, [0, bit]) == x and hash(BitVector(2, [0, bit])) == hash(x)
+        assert type(x.weight) is int and x.weight == int(reads)
+        assert x.complement().bits == (1, 1 - int(reads))
+        y = BitVector.from01("01")
+        assert adversary.iab_sets(x, y) == adversary.iab_sets(BitVector.from01("0" + reads), y)
+        answer = core.eval_instance(MpjInstance(2, 2, 2, (), x))
+        assert type(answer) is int and answer == int(reads)
 
     @pytest.mark.parametrize(
         "values, result",
@@ -300,6 +274,10 @@ class TestValidation:
     def test_named_layer_cases(self, n, values, text):
         expected = ("ok", None) if text is None else ("ValueError", text)
         assert outcome(built, LayerFunction, n, values) == expected
+        if text is None:  # stored as a tuple of plain ints, so hashable
+            f = LayerFunction(n, values)
+            assert type(f.values) is tuple and all(type(v) is int for v in f.values)
+            assert f == LayerFunction(n, (1, 2, 3)) and hash(f) == hash(LayerFunction(n, (1, 2, 3)))
 
 
 # -- one-pass fiber counting ----------------------------------------------------

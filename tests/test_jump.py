@@ -304,6 +304,21 @@ class TestKPlayerSublinear:
                         f, chain.level(lvl), target, d
                     )
 
+    def test_list_built_layers_and_middles_run_like_tuples(self):
+        # the plan memo keys on the middles by value: list-built parts must
+        # arrive as tuples, or player 1 raises on an unhashable list
+        n, k, d = 4, 5, 1
+        proto = mpjk_sublinear(naive_perm_protocol(n), d, k)
+        for inst in sample_instances(n, k, Variant.MPJ, count=20, seed=11):
+            listed = MpjInstance(
+                n, k, inst.i, [LayerFunction(n, list(f.values)) for f in inst.middles],
+                BitVector(n, list(inst.x.bits)),
+            )
+            assert listed == inst and hash(listed) == hash(inst)
+            transcript = run(proto, listed)
+            assert transcript.output == eval_instance(listed)
+            assert transcript == run(proto, inst)
+
     def test_rejects_bad_arguments(self):
         P = naive_perm_protocol(2)
         with pytest.raises(ValueError):
